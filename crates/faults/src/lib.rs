@@ -59,8 +59,8 @@ mod chaos;
 pub use chaos::ChaosPlan;
 
 use nc_substrate::SplitMix64;
-use std::cell::RefCell;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The kinds of hardware fault the subsystem can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -314,14 +314,40 @@ pub fn stuck_tap_for(plan: &FaultPlan, pixel: u64) -> Option<bool> {
 /// Transient SRAM read-port faults: every `read_*` call independently
 /// flips one uniformly-chosen bit of the value with probability `rate`.
 ///
-/// The state lives behind a `RefCell` so read paths that take `&self`
+/// The state lives behind a `Mutex` so read paths that take `&self`
 /// (the hardware-faithful inference paths) can draw from the fault
-/// stream; a model carrying one is still `Send` and each model instance
-/// owns its stream, so engine determinism is preserved.
-#[derive(Debug, Clone, PartialEq)]
+/// stream while a model carrying one stays `Send + Sync` (a compiled
+/// model can be shared by reference across engine workers that each
+/// clone it). Each model instance owns its stream, so engine
+/// determinism is preserved; the lock is only taken by an active port.
+#[derive(Debug)]
 pub struct TransientReads {
     rate: f64,
-    rng: RefCell<SplitMix64>,
+    rng: Mutex<SplitMix64>,
+}
+
+impl TransientReads {
+    /// The fault stream. A `SplitMix64` is valid after every step, so a
+    /// lock poisoned by a panicking reader still guards a usable stream.
+    fn stream(&self) -> MutexGuard<'_, SplitMix64> {
+        self.rng.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for TransientReads {
+    fn clone(&self) -> Self {
+        TransientReads {
+            rate: self.rate,
+            rng: Mutex::new(self.stream().clone()),
+        }
+    }
+}
+
+impl PartialEq for TransientReads {
+    fn eq(&self, other: &Self) -> bool {
+        // `a == a` must not lock the same port twice.
+        std::ptr::eq(self, other) || (self.rate == other.rate && *self.stream() == *other.stream())
+    }
 }
 
 impl TransientReads {
@@ -333,7 +359,7 @@ impl TransientReads {
         }
         TransientReads {
             rate: plan.rate,
-            rng: RefCell::new(plan.stream(3)),
+            rng: Mutex::new(plan.stream(3)),
         }
     }
 
@@ -344,7 +370,7 @@ impl TransientReads {
         const DISABLED_PORT_SEED: u64 = 0;
         TransientReads {
             rate: 0.0,
-            rng: RefCell::new(SplitMix64::new(DISABLED_PORT_SEED)),
+            rng: Mutex::new(SplitMix64::new(DISABLED_PORT_SEED)),
         }
     }
 
@@ -358,7 +384,7 @@ impl TransientReads {
         if !self.is_active() {
             return word;
         }
-        let mut rng = self.rng.borrow_mut();
+        let mut rng = self.stream();
         if bernoulli(&mut rng, self.rate) {
             word ^ (1u8 << rng.next_below(8))
         } else {

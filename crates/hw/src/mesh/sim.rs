@@ -27,9 +27,11 @@
 //!   undo log (entries are pushed in ascending local order, so the
 //!   revert is a tail pop).
 //!
-//! Per-core event skipping mirrors the reference's `skip_until` window:
-//! the firing core can respond again at `t + min(Trefrac, Tinhibit)`,
-//! a purely-inhibited core not before `t + Tinhibit`; both bounds are
+//! Every core runs the reference's own LIF kernel ([`nc_snn::lif`]): a
+//! scan's update hook logs the undo entries and tallies the updates, and
+//! the kernel's skip window gives the per-core event skipping — the
+//! firing core can respond again at `t + min(Trefrac, Tinhibit)`, a
+//! purely-inhibited core not before `t + Tinhibit`; both bounds are
 //! exact, so skipped scans are provably no-ops. All of this requires at
 //! most one fire per event, which holds whenever `Tinhibit >= 1` (the
 //! compiler asserts it).
@@ -50,8 +52,8 @@ use crate::mesh::{
 };
 use crate::sram::{bank_area_um2, bank_read_energy_pj};
 use nc_faults::FaultPlan;
-use nc_snn::network::decay_with_lut;
-use nc_snn::{tie_broken_readout, CodingScheme, SnnNetwork, SnnParams};
+use nc_snn::lif::{LifState, Prior};
+use nc_snn::{tie_broken_readout, SnnNetwork};
 
 /// Synaptic SRAM bank depth (rows per bank), the TrueNorth-style core
 /// geometry shared with [`crate::truenorth`].
@@ -129,165 +131,21 @@ pub struct MeshPresentation {
     pub cost: MeshCost,
 }
 
-/// One neuron's pre-update state, recorded so a core can revert the
-/// tentative updates an inhibition packet retroactively gates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Undo {
-    slot: usize,
-    potential: f64,
-    last_update: u32,
-}
-
-/// One simulated core: its slice of the network plus scratch state.
-#[derive(Debug, Clone, PartialEq)]
+/// One simulated core: its slice of the network, running the shared
+/// LIF kernel over its locals.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct CoreNode {
     /// Hosted neurons, ascending global ids; slot `s` is `locals[s]`.
     locals: Vec<usize>,
     /// Weight columns, `wcols[input * locals.len() + slot]`.
     wcols: Vec<u8>,
     thresholds: Vec<f64>,
-    potentials: Vec<f64>,
-    last_update: Vec<u32>,
-    refractory_until: Vec<u32>,
-    inhibited_until: Vec<u32>,
-    /// First ms at which any local can respond again (see module doc).
-    skip_until: u32,
+    lif: LifState,
     /// Tentative updates of the current event, ascending slot order.
-    undo: Vec<Undo>,
-    /// Whether the current event's input packet reached this core.
-    delivered_event: bool,
+    undo: Vec<Prior>,
     /// Whether an inhibition for the current event reached this core
     /// (kills this core's own nomination).
     inhibited_event: bool,
-}
-
-impl CoreNode {
-    fn empty() -> CoreNode {
-        CoreNode {
-            locals: Vec::new(),
-            wcols: Vec::new(),
-            thresholds: Vec::new(),
-            potentials: Vec::new(),
-            last_update: Vec::new(),
-            refractory_until: Vec::new(),
-            inhibited_until: Vec::new(),
-            skip_until: 0,
-            undo: Vec::new(),
-            delivered_event: false,
-            inhibited_event: false,
-        }
-    }
-
-    fn host(locals: Vec<usize>, wcols: Vec<u8>, thresholds: Vec<f64>) -> CoreNode {
-        let n = locals.len();
-        CoreNode {
-            locals,
-            wcols,
-            thresholds,
-            potentials: vec![0.0; n],
-            last_update: vec![0; n],
-            refractory_until: vec![0; n],
-            inhibited_until: vec![0; n],
-            skip_until: 0,
-            undo: Vec::new(),
-            delivered_event: false,
-            inhibited_event: false,
-        }
-    }
-
-    fn reset(&mut self) {
-        self.potentials.fill(0.0);
-        self.last_update.fill(0);
-        self.refractory_until.fill(0);
-        self.inhibited_until.fill(0);
-        self.skip_until = 0;
-        self.undo.clear();
-        self.delivered_event = false;
-        self.inhibited_event = false;
-    }
-
-    /// Applies one input event tentatively to every un-gated local, in
-    /// ascending slot order, stopping at (and nominating) the first
-    /// threshold crossing. The reference per-neuron arithmetic, verbatim.
-    fn scan(&mut self, input: usize, t: u32, lut: &[f64], cost: &mut MeshCost) -> Option<usize> {
-        let ln = self.locals.len();
-        // One burst read of the event's weight column.
-        cost.sram_rows = cost
-            .sram_rows
-            .wrapping_add(count_u64(ln.div_ceil(WEIGHTS_PER_ROW)));
-        let col = input * ln;
-        for slot in 0..ln {
-            if t < self.refractory_until[slot] || t < self.inhibited_until[slot] {
-                continue;
-            }
-            self.undo.push(Undo {
-                slot,
-                potential: self.potentials[slot],
-                last_update: self.last_update[slot],
-            });
-            let dt = u64::from(t - self.last_update[slot]);
-            if dt > 0 {
-                self.potentials[slot] = decay_with_lut(lut, self.potentials[slot], dt);
-            }
-            self.last_update[slot] = t;
-            self.potentials[slot] += f64::from(self.wcols[col + slot]);
-            cost.neuron_updates = cost.neuron_updates.wrapping_add(1);
-            if self.potentials[slot] >= self.thresholds[slot] {
-                return Some(self.locals[slot]);
-            }
-        }
-        None
-    }
-
-    /// Commits a fire of local neuron `j` at `t`: locals above `j`
-    /// un-integrate the event (they were gated in the reference scan),
-    /// the firer resets and turns refractory, everyone else inhibits.
-    fn commit_fire(&mut self, j: usize, t: u32, t_refrac: u32, t_inhibit: u32) {
-        let slot = match self.locals.binary_search(&j) {
-            Ok(s) => s,
-            Err(_) => return, // not hosted here; nothing to commit
-        };
-        self.revert_from(slot + 1);
-        self.potentials[slot] = 0.0;
-        self.refractory_until[slot] = t + t_refrac;
-        for (k, inh) in self.inhibited_until.iter_mut().enumerate() {
-            if k != slot {
-                *inh = (*inh).max(t + t_inhibit);
-            }
-        }
-        self.skip_until = self.skip_until.max(t + t_refrac.min(t_inhibit));
-        self.inhibited_event = true;
-    }
-
-    /// Handles an inhibition packet: global neuron `j` fired at `t`.
-    /// Locals above `j` un-integrate the current event; all locals are
-    /// inhibited. Safe to receive repeatedly (cascades under faults):
-    /// reverts and window extensions are idempotent.
-    fn receive_inhibition(&mut self, j: usize, t: u32, t_inhibit: u32) {
-        // Revert from the first slot whose global id exceeds `j`.
-        let first_above = self.locals.partition_point(|&g| g <= j);
-        self.revert_from(first_above);
-        for inh in self.inhibited_until.iter_mut() {
-            *inh = (*inh).max(t + t_inhibit);
-        }
-        self.skip_until = self.skip_until.max(t + t_inhibit);
-        self.inhibited_event = true;
-    }
-
-    /// Pops undo entries with `slot >= first_reverted`, restoring their
-    /// state. Entries are pushed in ascending slot order, so this is
-    /// the tail of the log.
-    fn revert_from(&mut self, first_reverted: usize) {
-        while let Some(&u) = self.undo.last() {
-            if u.slot >= first_reverted {
-                self.potentials[u.slot] = u.potential;
-                self.last_update[u.slot] = u.last_update;
-                self.undo.pop();
-            } else {
-                break;
-            }
-        }
-    }
 }
 
 fn count_u64(x: usize) -> u64 {
@@ -337,14 +195,9 @@ pub struct MeshSnn {
     partition: Partition,
     placement: Placement,
     fabric: Fabric,
-    coding: CodingScheme,
-    params: SnnParams,
-    decay_lut: Vec<f64>,
-    labels: Vec<Option<usize>>,
-    /// `presentation_stream_seed(0)`; the mixing is affine in the
-    /// presentation seed, so stream `p` is `base.wrapping_add(p)`.
-    stream_base: u64,
-    inputs: usize,
+    /// The compiled network: coding, parameters, decay table, labels
+    /// and the per-presentation stream seed all come from it.
+    net: SnnNetwork,
     cores: Vec<CoreNode>,
     /// Cores hosting at least one neuron, ascending.
     used: Vec<usize>,
@@ -421,34 +274,22 @@ impl MeshSnn {
         let weights = net.weights();
         let thresholds = net.thresholds();
 
-        let mut cores: Vec<CoreNode> = (0..grid.cores()).map(|_| CoreNode::empty()).collect();
+        let mut cores = vec![CoreNode::default(); grid.cores()];
         for (cluster, members) in partition.clusters().iter().enumerate() {
+            let core = &mut cores[placement.core_of(cluster)];
             let ln = members.len();
-            let mut wcols = vec![0u8; inputs * ln];
+            core.wcols = vec![0u8; inputs * ln];
             for input in 0..inputs {
                 for (slot, &g) in members.iter().enumerate() {
-                    wcols[input * ln + slot] = weights[g * inputs + input];
+                    core.wcols[input * ln + slot] = weights[g * inputs + input];
                 }
             }
-            let ths = members.iter().map(|&g| thresholds[g]).collect();
-            cores[placement.core_of(cluster)] = CoreNode::host(members.clone(), wcols, ths);
+            core.thresholds = members.iter().map(|&g| thresholds[g]).collect();
+            core.locals = members.clone();
         }
         let used: Vec<usize> = (0..grid.cores())
             .filter(|&c| !cores[c].locals.is_empty())
             .collect();
-
-        /// Presentation seed whose stream is the affine base point.
-        const STREAM_ORIGIN: u64 = 0;
-        /// Arbitrary probe offset for the affinity self-check below.
-        const AFFINITY_PROBE: u64 = 0x1234_5678;
-        let stream_base = net.presentation_stream_seed(STREAM_ORIGIN);
-        // The per-presentation reconstruction below relies on the stream
-        // mixing being affine in the presentation seed.
-        assert_eq!(
-            net.presentation_stream_seed(AFFINITY_PROBE),
-            stream_base.wrapping_add(AFFINITY_PROBE),
-            "presentation stream mixing is no longer affine"
-        );
 
         let link_load = vec![0u64; grid.cores() * PORTS_PER_ROUTER];
         MeshSnn {
@@ -456,12 +297,7 @@ impl MeshSnn {
             partition,
             placement,
             fabric,
-            coding: net.coding(),
-            params,
-            decay_lut: net.decay_lut().to_vec(),
-            labels: net.labels().to_vec(),
-            stream_base,
-            inputs,
+            net: net.clone(),
             cores,
             used,
             injector: 0,
@@ -507,7 +343,7 @@ impl MeshSnn {
             if ln == 0 {
                 continue;
             }
-            let bits = ln * self.inputs * 8;
+            let bits = ln * self.net.inputs() * 8;
             let banks = bits.div_ceil(128).div_ceil(BANK_DEPTH).max(1);
             um2 += banks as f64 * bank_area_um2(BANK_DEPTH) + ln as f64 * NEURON_AREA_UM2;
         }
@@ -559,32 +395,32 @@ impl MeshSnn {
         presentation_seed: u64,
         mut trace: Option<&mut String>,
     ) -> MeshPresentation {
+        let inputs = self.net.inputs();
         assert_eq!(
             pixels.len(),
-            self.inputs,
+            inputs,
             "pixel count {} does not match inputs {}",
             pixels.len(),
-            self.inputs
+            inputs
         );
-        let seed = self.stream_base.wrapping_add(presentation_seed);
-        let events = self.coding.encode(pixels, &self.params, seed);
-        let t_refrac = self.params.t_refrac;
-        let t_inhibit = self.params.t_inhibit;
-        let n = self.params.neurons;
-        let injector = self.injector;
         let MeshSnn {
+            net,
             cores,
             used,
             fabric,
             candidates,
             link_load,
             touched_links,
-            decay_lut,
-            labels,
+            injector,
             ..
         } = self;
+        let params = net.params();
+        let lut = net.decay_lut();
+        let seed = net.presentation_stream_seed(presentation_seed);
+        let events = net.coding().encode(pixels, params, seed);
         for &c in used.iter() {
-            cores[c].reset();
+            let core = &mut cores[c];
+            core.lif.reset(core.locals.len());
         }
         link_load.fill(0);
         touched_links.clear();
@@ -603,25 +439,40 @@ impl MeshSnn {
             if let Some(tr) = trace.as_deref_mut() {
                 let _ = writeln!(tr, "E {t} {input}");
             }
-            // Input multicast: ingress router to every populated core.
-            for &c in used.iter() {
-                let delivered =
-                    route_packet(fabric, link_load, touched_links, injector, c, &mut cost);
-                let core = &mut cores[c];
-                core.delivered_event = delivered;
-                core.inhibited_event = false;
-                core.undo.clear();
-            }
-            // Tentative local integration; each core nominates at most
-            // one firing candidate.
+            // Input multicast from the ingress router to every populated
+            // core, then tentative local integration: each delivered,
+            // non-skipping core nominates at most one firing candidate.
             candidates.clear();
             for &c in used.iter() {
+                let delivered =
+                    route_packet(fabric, link_load, touched_links, *injector, c, &mut cost);
                 let core = &mut cores[c];
-                if !core.delivered_event || t < core.skip_until {
+                core.inhibited_event = false;
+                core.undo.clear();
+                if !delivered || core.lif.skipping(t) {
                     continue;
                 }
-                if let Some(global) = core.scan(input, t, decay_lut, &mut cost) {
-                    candidates.push((global, c));
+                let ln = core.locals.len();
+                // One burst read of the event's weight column.
+                cost.sram_rows = cost
+                    .sram_rows
+                    .wrapping_add(count_u64(ln.div_ceil(WEIGHTS_PER_ROW)));
+                let wcol = &core.wcols[input * ln..(input + 1) * ln];
+                let undo = &mut core.undo;
+                let updates = &mut cost.neuron_updates;
+                let crossing = core.lif.scan(
+                    t,
+                    0,
+                    lut,
+                    &core.thresholds,
+                    |slot| f64::from(wcol[slot]),
+                    |prior, _| {
+                        undo.push(prior);
+                        *updates = updates.wrapping_add(1);
+                    },
+                );
+                if let Some(slot) = crossing {
+                    candidates.push((core.locals[slot], c));
                 }
             }
             // Resolve in ascending global order — the reference scan
@@ -640,30 +491,43 @@ impl MeshSnn {
                 if let Some(tr) = trace.as_deref_mut() {
                     let _ = writeln!(tr, "F {t} {j}");
                 }
-                cores[cj].commit_fire(j, t, t_refrac, t_inhibit);
+                // The firer keeps the updates below it (the reference
+                // made them before the fire) and un-integrates the event
+                // above it (the fire gated those neurons).
+                let core = &mut cores[cj];
+                if let Ok(slot) = core.locals.binary_search(&j) {
+                    core.lif.revert(&mut core.undo, slot + 1);
+                    core.lif.fire(slot, t, params);
+                }
+                core.inhibited_event = true;
                 for &c2 in used.iter() {
-                    if c2 == cj {
+                    if c2 == cj
+                        || !route_packet(fabric, link_load, touched_links, cj, c2, &mut cost)
+                    {
                         continue;
                     }
-                    let delivered =
-                        route_packet(fabric, link_load, touched_links, cj, c2, &mut cost);
-                    if delivered {
-                        cores[c2].receive_inhibition(j, t, t_inhibit);
-                    }
+                    // Locals above `j` un-integrate the event; all are
+                    // inhibited. Idempotent, so cascades under faults
+                    // may deliver it repeatedly.
+                    let core = &mut cores[c2];
+                    let above = core.locals.partition_point(|&g| g <= j);
+                    core.lif.revert(&mut core.undo, above);
+                    core.lif.inhibit(t, params);
+                    core.inhibited_event = true;
                 }
             }
         }
         flush_tick(link_load, touched_links, &mut cost);
 
-        let mut potentials = vec![0.0f64; n];
+        let mut potentials = vec![0.0f64; params.neurons];
         for &c in used.iter() {
             let core = &cores[c];
-            for (slot, &g) in core.locals.iter().enumerate() {
-                potentials[g] = core.potentials[slot];
+            for (&g, &v) in core.locals.iter().zip(core.lif.potentials()) {
+                potentials[g] = v;
             }
         }
         let readout = tie_broken_readout(winner, &potentials, seed);
-        let label = labels[readout].unwrap_or(0);
+        let label = net.labels()[readout].unwrap_or(0);
         MeshPresentation {
             winner,
             readout,
@@ -678,47 +542,6 @@ impl MeshSnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn undo_reverts_only_slots_above_the_keeper() {
-        let mut core = CoreNode::host(
-            vec![3, 7, 9],
-            vec![10, 20, 30], // one input column
-            vec![1e9, 1e9, 1e9],
-        );
-        let lut = vec![1.0; 501];
-        let mut cost = MeshCost::default();
-        assert_eq!(core.scan(0, 5, &lut, &mut cost), None);
-        assert_eq!(core.potentials, vec![10.0, 20.0, 30.0]);
-        assert_eq!(cost.neuron_updates, 3);
-        // Local neuron 7 (slot 1) fires at t=5.
-        core.commit_fire(7, 5, 20, 5);
-        // Slot 2 reverted, slot 1 reset to 0, slot 0 kept.
-        assert_eq!(core.potentials, vec![10.0, 0.0, 0.0]);
-        assert_eq!(core.last_update, vec![5, 5, 0]);
-        assert_eq!(core.refractory_until, vec![0, 25, 0]);
-        assert_eq!(core.inhibited_until, vec![10, 0, 10]);
-        assert_eq!(core.skip_until, 10);
-        assert!(core.inhibited_event);
-    }
-
-    #[test]
-    fn inhibition_reverts_locals_above_the_firer_and_gates_all() {
-        let mut core = CoreNode::host(vec![2, 8], vec![5, 7], vec![1e9, 1e9]);
-        let lut = vec![1.0; 501];
-        let mut cost = MeshCost::default();
-        assert_eq!(core.scan(0, 3, &lut, &mut cost), None);
-        assert_eq!(core.potentials, vec![5.0, 7.0]);
-        // Global neuron 4 fired at t=3: local 8 un-integrates, local 2 keeps.
-        core.receive_inhibition(4, 3, 5);
-        assert_eq!(core.potentials, vec![5.0, 0.0]);
-        assert_eq!(core.last_update, vec![3, 0]);
-        assert_eq!(core.inhibited_until, vec![8, 8]);
-        assert_eq!(core.skip_until, 8);
-        // Receiving the same inhibition again is a no-op.
-        core.receive_inhibition(4, 3, 5);
-        assert_eq!(core.potentials, vec![5.0, 0.0]);
-    }
 
     #[test]
     fn cost_energy_and_delivery_accounting() {

@@ -199,3 +199,151 @@ fn saturated_dead_links_isolate_the_ingress_core() {
         assert!(locals.contains(&j), "neuron {j} fired without input");
     }
 }
+
+/// FNV-1a over 64-bit words: a compact, order-sensitive digest for the
+/// pinned literals below.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    h
+}
+
+/// The four pinned deployments of the firing test net: healthy 2x2 and
+/// 4x4, and 4x4 with dead links / dead routers.
+fn pinned_meshes(net: &SnnNetwork) -> Vec<(&'static str, MeshSnn)> {
+    let plan =
+        |model, rate, seed| FaultPlan::new(model, rate, seed).unwrap_or_else(|_| unreachable!());
+    vec![
+        ("2x2", MeshSnn::compile(net, Grid::new(2, 2))),
+        ("4x4", MeshSnn::compile(net, Grid::new(4, 4))),
+        (
+            "4x4 dead_link",
+            MeshSnn::compile_faulty(net, Grid::new(4, 4), &plan(FaultModel::DeadLink, 0.25, 21)),
+        ),
+        (
+            "4x4 dead_router",
+            MeshSnn::compile_faulty(
+                net,
+                Grid::new(4, 4),
+                &plan(FaultModel::DeadRouter, 0.15, 22),
+            ),
+        ),
+    ]
+}
+
+/// Pins the mesh's exact output — every `MeshCost` counter, the fires
+/// and the final potentials — as literals, so a change to the per-core
+/// kernel or the commit protocol cannot move them silently. The healthy
+/// rows are also checked against the reference above; the faulty rows
+/// (and the speculative `neuron_updates` everywhere) have no reference
+/// but these literals.
+#[test]
+fn mesh_outputs_and_cost_are_pinned() {
+    type Row = (&'static str, u64, [u64; 6], usize, u64, u64);
+    #[rustfmt::skip]
+    const PINNED: [Row; 16] = [
+        ("2x2", 0x0, [1508, 0, 1588, 8, 340, 1290], 80, 0x9c75eb22d2ad3f06, 0x336a0e30f2fc921f),
+        ("2x2", 0x1, [1478, 0, 1556, 10, 332, 1283], 78, 0x64f26f0b9ba38cfe, 0xe8ade5d44349d2b8),
+        ("2x2", 0x2, [1586, 0, 1664, 8, 336, 1228], 78, 0x316e84813276dc08, 0x18cbddadc3d4cdd3),
+        ("2x2", 0xabcd, [1506, 0, 1588, 8, 348, 1349], 82, 0xe04c5f685f62c38f, 0x8ceac78566112c71),
+        ("4x4", 0x0, [5875, 0, 16019, 44, 1275, 2059], 80, 0x9c75eb22d2ad3f06, 0x336a0e30f2fc921f),
+        ("4x4", 0x1, [5757, 0, 15704, 55, 1245, 2054], 78, 0x64f26f0b9ba38cfe, 0xe8ade5d44349d2b8),
+        ("4x4", 0x2, [6162, 0, 16806, 44, 1260, 2013], 78, 0x316e84813276dc08, 0x18cbddadc3d4cdd3),
+        ("4x4", 0xabcd, [5873, 0, 15988, 44, 1305, 2151], 82, 0xe04c5f685f62c38f, 0x8ceac78566112c71),
+        ("4x4 dead_link", 0x0, [5959, 3489, 7963, 55, 532, 749], 86, 0x5308249012180cf2, 0xdd80eee47ddf13cd),
+        ("4x4 dead_link", 0x1, [5897, 3444, 7888, 55, 542, 762], 88, 0x6e5e8f6ba1a849fa, 0x5b5df12850424264),
+        ("4x4 dead_link", 0x2, [6330, 3696, 8483, 44, 550, 766], 90, 0x99dc02ca30858621, 0x955b4cc2b234147f),
+        ("4x4 dead_link", 0xabcd, [5971, 3498, 7986, 44, 552, 789], 89, 0x1b9420de938f32c1, 0x2f9d3e97997cfa81),
+        ("4x4 dead_router", 0x0, [6211, 3767, 13400, 44, 604, 787], 104, 0xdd43f6ed9aea69b7, 0x38d4929c00077963),
+        ("4x4 dead_router", 0x1, [6135, 3716, 13264, 55, 590, 781], 105, 0xa1c0132fe0c72b26, 0xbcfcaf591fdf524d),
+        ("4x4 dead_router", 0x2, [6582, 3984, 14227, 44, 634, 806], 108, 0xb70fbdd4f3734604, 0xa9d3b118b0526dea),
+        ("4x4 dead_router", 0xabcd, [6167, 3740, 13300, 44, 574, 749], 103, 0x31166da045dcd3c2, 0xaa9492dc9a70f11f),
+    ];
+    let net = test_net(64, 30, CodingScheme::PoissonRate, 7);
+    let mut rows = PINNED.iter();
+    for (name, mut mesh) in pinned_meshes(&net) {
+        for pseed in [0u64, 1, 2, 0xABCD] {
+            let &(want_name, want_seed, counters, fires, fires_digest, potentials_digest) =
+                rows.next().unwrap();
+            assert_eq!((name, pseed), (want_name, want_seed));
+            let p = mesh.present(&test_pixels(64, pseed), pseed);
+            let k = p.cost;
+            assert_eq!(
+                [
+                    k.packets,
+                    k.dropped_packets,
+                    k.hops,
+                    k.peak_link_load,
+                    k.sram_rows,
+                    k.neuron_updates
+                ],
+                counters,
+                "{name} p{pseed}: MeshCost"
+            );
+            assert_eq!(p.fires.len(), fires, "{name} p{pseed}: fire count");
+            assert_eq!(
+                fnv(p.fires.iter().flat_map(|&(t, j)| [u64::from(t), j as u64])),
+                fires_digest,
+                "{name} p{pseed}: fires"
+            );
+            assert_eq!(
+                fnv(p.potentials.iter().map(|v| v.to_bits())),
+                potentials_digest,
+                "{name} p{pseed}: potentials"
+            );
+        }
+    }
+    assert!(rows.next().is_none());
+}
+
+/// The firing test net with explicit WTA windows (ms).
+fn windowed_net(t_inhibit: u32, t_refrac: u32) -> SnnNetwork {
+    let mut params = SnnParams::for_neurons(30);
+    params.initial_threshold = 600.0;
+    params.t_inhibit = t_inhibit;
+    params.t_refrac = t_refrac;
+    SnnNetwork::with_coding(64, 10, params, CodingScheme::PoissonRate, 7)
+}
+
+#[test]
+fn one_ms_windows_compile_and_stay_bit_exact() {
+    // `Tinhibit = Trefrac = 1` is the smallest setting the commit
+    // protocol accepts: a fire gates every neuron for exactly the rest
+    // of its millisecond.
+    let mut net = windowed_net(1, 1);
+    for grid in [Grid::new(1, 1), Grid::new(2, 2), Grid::new(4, 4)] {
+        let mut mesh = MeshSnn::compile(&net, grid);
+        for pseed in [0u64, 1, 2, 0xABCD] {
+            let pixels = test_pixels(64, pseed);
+            let reference = net.present(&pixels, pseed);
+            assert!(!reference.fires.is_empty(), "{grid:?} p{pseed}: no fires");
+            let routed = mesh.present(&pixels, pseed);
+            assert_eq!(routed.winner, reference.winner, "{grid:?} p{pseed}");
+            assert_eq!(routed.fires, reference.fires, "{grid:?} p{pseed}");
+            assert_eq!(routed.potentials, reference.potentials, "{grid:?} p{pseed}");
+        }
+    }
+}
+
+fn compile_on_2x2(net: &SnnNetwork) -> MeshSnn {
+    let grid = Grid::new(2, 2);
+    let partition = partition_snn(net, grid.cores());
+    let placement = place_greedy(&partition, grid);
+    MeshSnn::compiled(net, partition, placement, Fabric::healthy(grid))
+}
+
+#[test]
+#[should_panic(expected = "mesh simulation requires Tinhibit >= 1 and Trefrac >= 1")]
+fn zero_inhibition_window_is_rejected() {
+    let _ = compile_on_2x2(&windowed_net(0, 1));
+}
+
+#[test]
+#[should_panic(expected = "mesh simulation requires Tinhibit >= 1 and Trefrac >= 1")]
+fn zero_refractory_window_is_rejected() {
+    let _ = compile_on_2x2(&windowed_net(1, 0));
+}

@@ -278,17 +278,16 @@ enum PixelGen {
 /// vector and sort it by `(time, input)` — fine for learning (STDP
 /// needs the whole train) but wasteful for inference, where the
 /// consumer buckets events by millisecond anyway. `RateStreams` holds
-/// the same per-pixel generators open so a consumer can pull spikes
-/// one at a time ([`RateStreams::next_spike`]) or drain a pixel
+/// the same per-pixel generators open so a consumer can drain a pixel
 /// straight into its own data structure ([`RateStreams::drain_spikes`])
 /// with no intermediate event vector and no sort.
 ///
 /// Equivalence with the eager encoders is by construction: generator
 /// seeds are drawn from the master [`SplitMix64`] stream in pixel order
 /// (skipping dark pixels), exactly as the eager loops draw them, and
-/// [`RateStreams::next_spike`] performs one iteration of the eager
-/// loop's body — so stream `k` emits bit-for-bit the spike times the
-/// eager encoder emits for the same pixel, in the same order.
+/// each iteration of [`RateStreams::drain_spikes`] is one iteration of
+/// the eager loop's body — so stream `k` emits bit-for-bit the spike
+/// times the eager encoder emits for the same pixel, in the same order.
 #[derive(Debug, Clone, Default)]
 pub struct RateStreams {
     /// Input (pixel) index of each live stream, ascending.
@@ -382,48 +381,15 @@ impl RateStreams {
         self.inputs[k]
     }
 
-    /// Advances stream `k` by one spike and returns its time (whole ms
-    /// within the window), or `None` once the stream has left the
-    /// presentation window. Times are non-decreasing per stream;
-    /// repeated times are genuine duplicate events (two sub-millisecond
-    /// Poisson intervals landing in one bucket). A finished stream keeps
-    /// returning `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn next_spike(&mut self, k: usize) -> Option<u32> {
-        match &mut self.gens[k] {
-            PixelGen::Poisson { gen, t, rate } => {
-                let dt = gen.sample_interval(*rate);
-                *t += dt;
-                if !t.is_finite() || *t >= f64::from(self.t_period) {
-                    None
-                } else {
-                    Some(sat_u32_trunc(*t))
-                }
-            }
-            PixelGen::Gaussian { gen, t, mean, std } => {
-                let dt = gen.sample_interval_ms(*mean, *std);
-                *t += u64::from(dt);
-                if *t >= u64::from(self.t_period) {
-                    None
-                } else {
-                    Some(u32::try_from(*t).unwrap_or(u32::MAX))
-                }
-            }
-        }
-    }
-
     /// Drains stream `k` to exhaustion, invoking `emit` with each spike
-    /// time in order — exactly the sequence repeated
-    /// [`RateStreams::next_spike`] calls would produce, in one tight
-    /// loop that keeps the generator state in locals instead of paying
-    /// a state load/store round trip per spike. The streaming inference
-    /// path fills its whole per-millisecond calendar this way: spikes
-    /// after the first output fire are rarely needed, but generating
-    /// them costs less than the per-call bookkeeping of pulling spikes
-    /// one at a time.
+    /// time (whole ms within the window) in order. Times are
+    /// non-decreasing; repeated times are genuine duplicate events (two
+    /// sub-millisecond Poisson intervals landing in one bucket). The
+    /// generator state stays in locals for the whole loop. The streaming
+    /// inference path fills its whole per-millisecond calendar this way:
+    /// spikes after the first output fire are rarely needed, but
+    /// generating them costs less than pulling spikes one at a time. A
+    /// drained stream emits nothing more.
     ///
     /// # Panics
     ///
@@ -441,8 +407,7 @@ impl RateStreams {
                     emit(sat_u32_trunc(time));
                 }
                 // An infinite `time` (dark-adjacent rate underflow)
-                // persists, so the stream stays exhausted exactly as
-                // the one-at-a-time path leaves it.
+                // persists, so the stream stays exhausted.
                 *t = time;
             }
             PixelGen::Gaussian { gen, t, mean, std } => {
@@ -613,24 +578,6 @@ mod tests {
             for fault in [None, Some(&plan)] {
                 for seed in [0u64, 7, 0xDEAD_BEEF] {
                     let eager = scheme.encode_faulty(&px(), &params, seed, fault);
-                    let mut streams = RateStreams::default();
-                    assert!(streams.rebuild(scheme, &px(), &params, seed, fault));
-                    let mut drained = Vec::new();
-                    for k in 0..streams.len() {
-                        let input = streams.input(k);
-                        while let Some(t) = streams.next_spike(k) {
-                            drained.push(SpikeEvent { t, input });
-                        }
-                    }
-                    drained.sort_unstable_by_key(|e| (e.t, e.input));
-                    assert_eq!(
-                        drained,
-                        eager,
-                        "{scheme:?} seed {seed} fault {:?}",
-                        fault.is_some()
-                    );
-
-                    // The bulk drain must emit the identical sequence.
                     let mut streams = RateStreams::default();
                     assert!(streams.rebuild(scheme, &px(), &params, seed, fault));
                     let mut bulk = Vec::new();

@@ -9,6 +9,8 @@
 //!   `Tinhibit`, `Trefrac`, `TLTP`, homeostasis epoch/threshold, …).
 //! * [`coding`] — the input spike-coding schemes of §3.1 and §5: Poisson
 //!   rate, hardware Gaussian rate, rank-order, and time-to-first-spike.
+//! * [`lif`] — the event-driven LIF kernel: one input event applied to
+//!   a neuron population, shared by every simulator of the network.
 //! * [`network`] — the event-driven LIF simulator with the analytic
 //!   inter-spike leak `v(T2) = v(T1)·e^{-(T2−T1)/Tleak}` (§2.2), lateral
 //!   inhibition, refractory periods, on-line STDP and homeostasis.
@@ -47,6 +49,7 @@
 pub mod bp_hybrid;
 pub mod coding;
 pub mod explore;
+pub mod lif;
 pub mod model;
 pub mod network;
 pub mod params;
@@ -55,6 +58,7 @@ pub mod trace;
 pub mod wot;
 
 pub use coding::{CodingScheme, RateStreams, SpikeEvent};
-pub use network::{decay_with_lut, tie_broken_readout, SnnNetwork};
+pub use lif::decay_with_lut;
+pub use network::{tie_broken_readout, SnnNetwork};
 pub use params::SnnParams;
 pub use wot::WotSnn;

@@ -23,6 +23,7 @@
 //!   normalized by label frequency.
 
 use crate::coding::{CodingScheme, RateStreams, SpikeEvent};
+use crate::lif::LifState;
 use crate::params::SnnParams;
 use crate::trace::PresentationTrace;
 use nc_dataset::model::{ModelError, EVAL_PRESENTATION_SEED_BASE};
@@ -34,36 +35,6 @@ use nc_substrate::stats::Confusion;
 
 /// Sentinel meaning "this input has not spiked yet in this presentation".
 const NEVER: u32 = u32::MAX;
-
-/// Applies the analytic leak `v · e^{-dt/Tleak}` via the precomputed
-/// per-millisecond decay table. Gaps longer than the table compose
-/// factors (`e^{-(a+b)} = e^{-a}·e^{-b}`), so an arbitrarily long
-/// inter-spike silence decays to the analytic value. The previous code
-/// clamped `dt` to the last table entry, silently under-decaying any gap
-/// beyond `Tperiod` — latent with the shipped coding schemes (all emit
-/// `t < Tperiod`, so `dt ≤ Tperiod − 1`), but wrong for any longer
-/// window; in-table gaps take the single-lookup path bit-for-bit.
-#[inline]
-fn decay(lut: &[f64], mut v: f64, mut dt: u64) -> f64 {
-    let last = lut.len() - 1;
-    let max = u64::try_from(last).unwrap_or(u64::MAX);
-    while dt > max {
-        v *= lut[last];
-        dt -= max;
-    }
-    v * lut[usize::try_from(dt).unwrap_or(last)]
-}
-
-/// The analytic leak through a precomputed decay table — the exact
-/// operation sequence the reference event loop applies between input
-/// spikes. Public for external substrates (the `nc-hw` mesh) that must
-/// reproduce potentials bit-for-bit: factor composition is *not*
-/// associative in f64, so re-deriving the decay any other way diverges.
-/// Pair with [`SnnNetwork::decay_lut`].
-#[inline]
-pub fn decay_with_lut(lut: &[f64], v: f64, dt: u64) -> f64 {
-    decay(lut, v, dt)
-}
 
 /// Outcome of presenting one image to the network.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,14 +102,8 @@ pub fn tie_broken_readout(winner: Option<usize>, potentials: &[f64], tie_seed: u
 struct SimScratch {
     /// Encoded input spike train for the current presentation.
     events: Vec<SpikeEvent>,
-    /// Membrane potentials after the most recent event.
-    potentials: Vec<f64>,
-    /// Per-neuron time of the last potential update.
-    last_update: Vec<u32>,
-    /// Per-neuron end of the refractory window.
-    refractory_until: Vec<u32>,
-    /// Per-neuron end of the WTA inhibition window.
-    inhibited_until: Vec<u32>,
+    /// The LIF state of every neuron.
+    lif: LifState,
     /// Per-input time of the most recent input spike ([`NEVER`] if none).
     last_input_spike: Vec<u32>,
     /// Output spikes as `(time_ms, neuron)`.
@@ -150,14 +115,7 @@ impl SimScratch {
     /// if the network geometry grew). `clear` + `resize` on an
     /// already-sized `Vec` rewrites in place without touching capacity.
     fn reset(&mut self, neurons: usize, inputs: usize) {
-        self.potentials.clear();
-        self.potentials.resize(neurons, 0.0);
-        self.last_update.clear();
-        self.last_update.resize(neurons, 0);
-        self.refractory_until.clear();
-        self.refractory_until.resize(neurons, 0);
-        self.inhibited_until.clear();
-        self.inhibited_until.resize(neurons, 0);
+        self.lif.reset(neurons);
         self.last_input_spike.clear();
         self.last_input_spike.resize(inputs, NEVER);
         self.fires.clear();
@@ -188,7 +146,7 @@ struct StreamScratch {
     /// when a threshold crossing is detected.
     slots: Vec<u32>,
     /// Second half of the potential double buffer (the first half is
-    /// the simulation scratch's potential vector).
+    /// the simulation scratch's LIF potentials).
     pot_next: Vec<f64>,
     /// `f64` mirror of the network's column-major `weights_t`
     /// (`f64::from` per element is exact, so adding from this mirror is
@@ -455,10 +413,10 @@ impl SnnNetwork {
     }
 
     /// The precomputed per-millisecond leak table `e^{-dt/Tleak}` for
-    /// `dt ∈ 0..=Tperiod`. External substrates that re-simulate this
-    /// network (the `nc-hw` mesh) must decay through this exact table —
-    /// composing factors for out-of-table gaps as [`decay_with_lut`]
-    /// does — to stay bit-identical to the reference event loop.
+    /// `dt ∈ 0..=Tperiod`, the table [`decay_with_lut`] and the
+    /// [`LifState`] kernel decay through.
+    ///
+    /// [`decay_with_lut`]: crate::lif::decay_with_lut
     pub fn decay_lut(&self) -> &[f64] {
         &self.decay_lut
     }
@@ -549,7 +507,7 @@ impl SnnNetwork {
         Presentation {
             winner,
             fires: self.sim.fires.clone(),
-            potentials: self.sim.potentials.clone(),
+            potentials: self.sim.lif.potentials.clone(),
             tie_seed,
         }
     }
@@ -590,79 +548,47 @@ impl SnnNetwork {
 
         sim.reset(n, self.inputs);
         let faults_active = self.faults.is_active();
-
-        // Inference with healthy SRAM and no trace — the evaluate /
-        // predict hot path — runs the sliced fast loop; everything else
-        // takes the general loop below. Both loops perform the identical
-        // operation sequence per processed neuron, so outcomes are
-        // bit-equal.
-        if !learn && !faults_active && trace.is_none() {
-            let winner = self.run_events_fast(&mut sim);
-            self.presentation_counter += 1;
-            self.sim = sim;
-            return winner;
-        }
-
         let mut winner = None;
-        // After any fire at `t` the firing neuron is refractory and every
-        // other neuron inhibited, so nothing can respond before
-        // `t + min(Trefrac, Tinhibit)`: events in that window skip the
-        // whole neuron scan with one compare (each neuron would hit its
-        // own gate check and `continue` anyway, touching nothing).
-        let all_gated = self.params.t_refrac.min(self.params.t_inhibit);
-        let mut skip_until = 0u32;
-
-        for ei in 0..sim.events.len() {
-            let SpikeEvent { t, input } = sim.events[ei];
+        for &SpikeEvent { t, input } in &sim.events {
             sim.last_input_spike[input] = t;
-            if t < skip_until {
-                continue;
-            }
-            let col = input * n;
-            for j in 0..n {
-                // Refractory / inhibited neurons ignore input spikes
-                // entirely (§2.2: "incoming spikes have no impact").
-                if t < sim.refractory_until[j] || t < sim.inhibited_until[j] {
-                    continue;
-                }
-                // Analytic leak since this neuron's last update.
-                let dt = u64::from(t - sim.last_update[j]);
-                if dt > 0 {
-                    sim.potentials[j] = decay(&self.decay_lut, sim.potentials[j], dt);
-                }
-                sim.last_update[j] = t;
-                let w = self.weights_t[col + j];
-                let w = if faults_active {
-                    self.faults.read_u8(w)
-                } else {
-                    w
-                };
-                sim.potentials[j] += f64::from(w);
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record_potential(j, t, sim.potentials[j]);
-                }
-                if sim.potentials[j] >= self.thresholds[j] {
-                    // Fire!
-                    sim.fires.push((t, j));
-                    if winner.is_none() {
-                        winner = Some(j);
-                    }
-                    sim.potentials[j] = 0.0;
-                    sim.refractory_until[j] = t + self.params.t_refrac;
-                    for (k, inh) in sim.inhibited_until.iter_mut().enumerate() {
-                        if k != j {
-                            *inh = (*inh).max(t + self.params.t_inhibit);
+            // Each crossing fires before the scan resumes past it: STDP
+            // rewrites weights mid-event, so the column is re-borrowed
+            // per scan. A fire normally gates the rest of the event;
+            // only `Tinhibit = 0` lets a later neuron fire on it too.
+            let mut from = 0;
+            loop {
+                let col = &self.weights_t[input * n..(input + 1) * n];
+                let faults = &self.faults;
+                let crossing = sim.lif.scan(
+                    t,
+                    from,
+                    &self.decay_lut,
+                    &self.thresholds,
+                    |j| {
+                        f64::from(if faults_active {
+                            faults.read_u8(col[j])
+                        } else {
+                            col[j]
+                        })
+                    },
+                    |prior, v| {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.record_potential(prior.neuron, t, v);
                         }
-                    }
-                    skip_until = t + all_gated;
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_fire(j, t);
-                    }
-                    if learn {
-                        self.fire_counts[j] += 1;
-                        self.apply_stdp(j, t, &sim.last_input_spike);
-                    }
+                    },
+                );
+                let Some(j) = crossing else { break };
+                sim.lif.fire(j, t, &self.params);
+                sim.fires.push((t, j));
+                winner.get_or_insert(j);
+                if let Some(tr) = trace.as_deref_mut() {
+                    tr.record_fire(j, t);
                 }
+                if learn {
+                    self.fire_counts[j] += 1;
+                    self.apply_stdp(j, t, &sim.last_input_spike);
+                }
+                from = j + 1;
             }
         }
 
@@ -674,72 +600,6 @@ impl SnnNetwork {
         }
         self.presentation_counter += 1;
         self.sim = sim;
-        winner
-    }
-
-    /// The inference event loop: no learning, no trace, no SRAM read
-    /// faults. Split from the general loop in [`SnnNetwork::simulate`] so
-    /// the per-neuron body can hold plain length-`n` slice borrows (the
-    /// bounds checks hoist out of the loop) — `self` is never reborrowed
-    /// mutably mid-loop here, which the STDP path requires. The
-    /// arithmetic is the general loop's, operation for operation.
-    fn run_events_fast(&self, sim: &mut SimScratch) -> Option<usize> {
-        let n = self.params.neurons;
-        let t_refrac = self.params.t_refrac;
-        let t_inhibit = self.params.t_inhibit;
-        // See the general loop: after a fire at `t`, every neuron is
-        // gated until at least `t + min(Trefrac, Tinhibit)`.
-        let all_gated = t_refrac.min(t_inhibit);
-        let mut skip_until = 0u32;
-        let mut winner = None;
-        let SimScratch {
-            events,
-            potentials,
-            last_update,
-            refractory_until,
-            inhibited_until,
-            // Only STDP reads the per-input spike times.
-            last_input_spike: _,
-            fires,
-        } = sim;
-        let potentials = &mut potentials[..n];
-        let last_update = &mut last_update[..n];
-        let refractory_until = &mut refractory_until[..n];
-        let inhibited_until = &mut inhibited_until[..n];
-        let thresholds = &self.thresholds[..n];
-        let lut = self.decay_lut.as_slice();
-        for &SpikeEvent { t, input } in events.iter() {
-            if t < skip_until {
-                continue;
-            }
-            let col = input * n;
-            let wcol = &self.weights_t[col..col + n];
-            for j in 0..n {
-                if t < refractory_until[j] || t < inhibited_until[j] {
-                    continue;
-                }
-                let dt = u64::from(t - last_update[j]);
-                if dt > 0 {
-                    potentials[j] = decay(lut, potentials[j], dt);
-                }
-                last_update[j] = t;
-                potentials[j] += f64::from(wcol[j]);
-                if potentials[j] >= thresholds[j] {
-                    fires.push((t, j));
-                    if winner.is_none() {
-                        winner = Some(j);
-                    }
-                    potentials[j] = 0.0;
-                    refractory_until[j] = t + t_refrac;
-                    for (k, inh) in inhibited_until.iter_mut().enumerate() {
-                        if k != j {
-                            *inh = (*inh).max(t + t_inhibit);
-                        }
-                    }
-                    skip_until = t + all_gated;
-                }
-            }
-        }
         winner
     }
 
@@ -876,9 +736,10 @@ impl SnnNetwork {
             stream.cursor[usize::try_from(t).unwrap_or(usize::MAX)] += 1;
         }
 
-        let mut pot = std::mem::take(&mut self.sim.potentials);
-        pot.clear();
-        pot.resize(n, 0.0);
+        // The committed potentials live in the LIF state; `pot_next` is
+        // the other half of the double buffer the bucket sweep fills.
+        let mut lif = std::mem::take(&mut self.sim.lif);
+        lif.reset(n);
         let mut pot_next = std::mem::take(&mut stream.pot_next);
         pot_next.clear();
         pot_next.resize(n, 0.0);
@@ -897,16 +758,17 @@ impl SnnNetwork {
             let dt = u64::from(t - shared_last);
             if dt > 0 {
                 // In-window gaps satisfy `dt ≤ Tperiod − 1 < lut.len()`,
-                // so [`decay`] reduces to a single table factor —
+                // so the decay reduces to a single table factor —
                 // hoisted out of the neuron sweep, leaving one
                 // autovectorizable multiply per neuron (bit-identical:
-                // `decay` multiplies by exactly `lut[dt]` in this range).
+                // `decay_with_lut` multiplies by exactly `lut[dt]` in
+                // this range).
                 let factor = lut[usize::try_from(dt).unwrap_or(lut.len() - 1)];
-                for (next, &v) in pot_next.iter_mut().zip(pot.iter()) {
+                for (next, &v) in pot_next.iter_mut().zip(lif.potentials.iter()) {
                     *next = v * factor;
                 }
             } else {
-                pot_next.copy_from_slice(&pot);
+                pot_next.copy_from_slice(&lif.potentials);
             }
             for &packed in &stream.slots[b0..b1] {
                 let k = usize::try_from(packed).unwrap_or(usize::MAX);
@@ -924,37 +786,33 @@ impl SnnNetwork {
                 crossed |= v >= th;
             }
             if crossed {
-                let mut first = true;
+                // Replay the bucket through the LIF kernel from the
+                // pre-bucket potentials, all last updated at
+                // `shared_last`: the first crossing is the winner.
+                lif.last_update.fill(shared_last);
                 for &packed in &stream.slots[b0..b1] {
                     let k = usize::try_from(packed).unwrap_or(usize::MAX);
                     let col = stream.streams.input(k) * n;
                     let wcol = &stream.wcols[col..col + n];
-                    for j in 0..n {
-                        if first && dt > 0 {
-                            pot[j] = decay(lut, pot[j], dt);
-                        }
-                        pot[j] += wcol[j];
-                        if pot[j] >= thresholds[j] {
-                            winner = Some(j);
-                            break 'clock;
-                        }
+                    if let Some(j) = lif.scan(t, 0, lut, thresholds, |j| wcol[j], |_, _| {}) {
+                        winner = Some(j);
+                        break 'clock;
                     }
-                    first = false;
                 }
                 // The replay reproduces the exact values the bucket-end
                 // check saw cross, so it cannot fall through.
                 debug_assert!(false, "bucket replay must find the crossing");
                 break 'clock;
             }
-            std::mem::swap(&mut pot, &mut pot_next);
+            std::mem::swap(&mut lif.potentials, &mut pot_next);
             shared_last = t;
         }
 
-        // `pot` holds the last committed potentials: the final state
-        // when no neuron fired (what the readout consumes), or the
-        // partially-replayed bucket when one did (never read — the
+        // The LIF state holds the last committed potentials: the final
+        // state when no neuron fired (what the readout consumes), or
+        // the partially-replayed bucket when one did (never read — the
         // winner is authoritative).
-        self.sim.potentials = pot;
+        self.sim.lif = lif;
         stream.pot_next = pot_next;
         self.stream = stream;
         self.presentation_counter += 1;
@@ -1066,7 +924,7 @@ impl SnnNetwork {
             let tie_seed = self.presentation_rng_seed(pseed);
             let winner = self.simulate_winner(&s.pixels, pseed);
             self.class_presented[s.label] += 1;
-            let readout = tie_broken_readout(winner, &self.sim.potentials, tie_seed);
+            let readout = tie_broken_readout(winner, &self.sim.lif.potentials, tie_seed);
             self.label_counts[readout * self.classes + s.label] += 1;
         }
         for j in 0..self.params.neurons {
@@ -1100,7 +958,7 @@ impl SnnNetwork {
     pub fn predict(&mut self, pixels: &[u8], presentation_seed: u64) -> usize {
         let tie_seed = self.presentation_rng_seed(presentation_seed);
         let winner = self.simulate_winner(pixels, presentation_seed);
-        let readout = tie_broken_readout(winner, &self.sim.potentials, tie_seed);
+        let readout = tie_broken_readout(winner, &self.sim.lif.potentials, tie_seed);
         self.labels[readout].unwrap_or(0)
     }
 
@@ -1123,6 +981,7 @@ impl SnnNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lif::decay_with_lut;
     use nc_dataset::{digits::DigitsSpec, Difficulty};
 
     fn tiny_params(neurons: usize) -> SnnParams {
@@ -1393,7 +1252,7 @@ mod tests {
         let snn = SnnNetwork::new(2, 2, tiny_params(1), 3);
         let v = 1234.5;
         let gap = 10_000u64; // e^{-20} ≈ 2.06e-9 with Tleak = 500 ms
-        let after = decay(&snn.decay_lut, v, gap);
+        let after = decay_with_lut(&snn.decay_lut, v, gap);
         assert!(after > 0.0);
         assert!(
             after < v * 1e-6,
@@ -1412,15 +1271,16 @@ mod tests {
         let v = 987.125;
         for dt in [1u64, 37, 250, 499] {
             let direct = v * snn.decay_lut[usize::try_from(dt).unwrap()];
-            assert_eq!(decay(&snn.decay_lut, v, dt), direct, "dt {dt}");
+            assert_eq!(decay_with_lut(&snn.decay_lut, v, dt), direct, "dt {dt}");
         }
     }
 
     #[test]
     fn fast_and_general_event_loops_are_bit_identical() {
-        // `present` runs the sliced fast loop; `present_traced` runs the
-        // general loop (a trace forces it). Same seed → same outcome,
-        // bit for bit, across a spread of images.
+        // `present` runs the event loop with no-op hooks;
+        // `present_traced` feeds every update to the trace through the
+        // kernel's update hook. Same seed → same outcome, bit for bit,
+        // across a spread of images.
         let (train, _) = DigitsSpec {
             train: 12,
             test: 1,
@@ -1522,7 +1382,7 @@ mod tests {
                 let p = reference.present(&s.pixels, pseed);
                 assert!(p.winner.is_none(), "threshold must be unreachable");
                 assert_eq!(
-                    streaming.sim.potentials, p.potentials,
+                    streaming.sim.lif.potentials, p.potentials,
                     "{coding:?} image {i}"
                 );
             }
@@ -1537,14 +1397,14 @@ mod tests {
         // addresses and capacities across further predictions.
         let mut snn = SnnNetwork::new(16, 2, tiny_params(4), 9);
         let _ = snn.predict(&[180u8; 16], 42);
-        let potentials_ptr = snn.sim.potentials.as_ptr();
-        let last_update_ptr = snn.sim.last_update.as_ptr();
+        let potentials_ptr = snn.sim.lif.potentials.as_ptr();
+        let last_update_ptr = snn.sim.lif.last_update.as_ptr();
         let events_cap = snn.sim.events.capacity();
         for _ in 0..20 {
             let _ = snn.predict(&[180u8; 16], 42);
         }
-        assert_eq!(snn.sim.potentials.as_ptr(), potentials_ptr);
-        assert_eq!(snn.sim.last_update.as_ptr(), last_update_ptr);
+        assert_eq!(snn.sim.lif.potentials.as_ptr(), potentials_ptr);
+        assert_eq!(snn.sim.lif.last_update.as_ptr(), last_update_ptr);
         assert_eq!(snn.sim.events.capacity(), events_cap);
     }
 
