@@ -14,7 +14,7 @@ use nc_dataset::model::EVAL_PRESENTATION_SEED_BASE;
 use nc_dataset::Dataset;
 use nc_hw::ablation::{bank_width_sweep, count_width_sweep, max_tree_sweep};
 use nc_hw::folded::{FoldedMlp, FoldedSnnWot, FoldedSnnWt};
-use nc_hw::mesh::{Grid, MeshCost, MeshSnn};
+use nc_hw::mesh::{Grid, MeshCost, MeshError, MeshSnn};
 use nc_hw::power;
 use nc_hw::scaling::projection;
 use nc_mlp::{explore as mlp_explore, Activation, Mlp, TrainConfig, Trainer};
@@ -427,7 +427,12 @@ fn evaluate_mesh(engine: &Engine, mesh: &MeshSnn, test: &Dataset, label: &str) -
 /// SNN compiled onto growing core grids — partition, place, route —
 /// with accuracy, fabric energy and link occupancy per grid, then the
 /// same 4×4 mesh under dead-link / dead-router fault plans.
-pub fn mesh_rows(engine: &Engine) -> Vec<MeshRow> {
+///
+/// # Errors
+///
+/// The [`MeshError`] of a grid the trained network cannot be compiled
+/// onto.
+pub fn mesh_rows(engine: &Engine) -> Result<Vec<MeshRow>, MeshError> {
     let scale = engine.scale();
     let data = engine.dataset(Workload::Digits);
     let (train, test) = (&data.0, &data.1);
@@ -446,15 +451,15 @@ pub fn mesh_rows(engine: &Engine) -> Vec<MeshRow> {
         .into_iter()
         .map(|(grid, plan)| {
             let mesh = match &plan {
-                Some(p) => MeshSnn::compile_faulty(&snn, grid, p),
-                None => MeshSnn::compile(&snn, grid),
+                Some(p) => MeshSnn::compile_faulty(&snn, grid, p)?,
+                None => MeshSnn::compile(&snn, grid)?,
             };
             let (fault, rate) = plan.as_ref().map_or(("none".to_string(), 0.0), |p| {
                 (p.model.name().to_string(), p.rate)
             });
             let label = format!("mesh/{}x{}/{fault}", grid.width, grid.height);
             let (accuracy, cost) = evaluate_mesh(engine, &mesh, test, &label);
-            MeshRow {
+            Ok(MeshRow {
                 grid: format!("{}x{}", grid.width, grid.height),
                 cores_used: mesh.used_cores(),
                 fault,
@@ -465,14 +470,17 @@ pub fn mesh_rows(engine: &Engine) -> Vec<MeshRow> {
                 peak_link_load: cost.peak_link_load,
                 delivery_ok: cost.delivery_ok(),
                 area_mm2: mesh.area_mm2(),
-            }
+            })
         })
         .collect()
 }
 
 /// Renders the mesh sweep and writes `fig_mesh.csv`.
 pub fn mesh(engine: &Engine) -> String {
-    let rows = mesh_rows(engine);
+    let rows = match mesh_rows(engine) {
+        Ok(rows) => rows,
+        Err(e) => return format!("== Many-core mesh deployment: not compiled: {e} ==\n"),
+    };
     let mut t = TextTable::new(&[
         "grid",
         "cores used",

@@ -208,8 +208,9 @@ fn fig_mesh_snapshot() {
     // The mesh deployment sweep at tiny scale: healthy 1x1 / 2x2 / 4x4
     // grids plus dead-link and dead-router ladder rows, 1-thread vs
     // 4-thread byte-compared like every other series.
-    let csv =
-        deterministic_csv(|engine| csv_out::mesh_csv(&nc_bench::gen_extensions::mesh_rows(engine)));
+    let csv = deterministic_csv(|engine| {
+        csv_out::mesh_csv(&nc_bench::gen_extensions::mesh_rows(engine).unwrap())
+    });
     assert_snapshot("fig_mesh.csv", &csv);
 }
 
@@ -231,7 +232,7 @@ fn mesh_replays_the_fig3_network_spike_for_spike() {
     snn.train_stdp(&train, 1);
     snn.self_label(&train);
     for (w, h) in [(2, 2), (4, 4)] {
-        let mut mesh = nc_hw::mesh::MeshSnn::compile(&snn, nc_hw::mesh::Grid::new(w, h));
+        let mut mesh = nc_hw::mesh::MeshSnn::compile(&snn, nc_hw::mesh::Grid::new(w, h)).unwrap();
         for (i, sample) in data.1.samples().iter().take(12).enumerate() {
             let seed = 0x316 + i as u64;
             let reference = snn.present(&sample.pixels, seed);
@@ -264,7 +265,7 @@ fn mesh_routed_traces_are_thread_invariant() {
             SnnParams::tuned(12),
             0x3E5A,
         );
-        let mesh = nc_hw::mesh::MeshSnn::compile(&snn, nc_hw::mesh::Grid::new(2, 2));
+        let mesh = nc_hw::mesh::MeshSnn::compile(&snn, nc_hw::mesh::Grid::new(2, 2)).unwrap();
         let samples = data.1.samples();
         let jobs: Vec<nc_core::Job<usize>> = (0..samples.len().min(8))
             .map(|i| nc_core::Job::new(format!("mesh-trace/{i}"), 1, i))

@@ -34,7 +34,7 @@ pub mod sim;
 pub use partition::{partition_snn, partition_units, Partition, MAX_CLUSTER_NEURONS};
 pub use place::{place_greedy, place_linear, Grid, Placement};
 pub use route::{Fabric, PORTS_PER_ROUTER};
-pub use sim::{MeshCost, MeshPresentation, MeshSnn};
+pub use sim::{MeshCost, MeshError, MeshPresentation, MeshSnn};
 
 /// Energy of one spike packet traversing one router-to-router hop
 /// (link + router stage), pJ. 65 nm NoC surveys put a flit-hop in the

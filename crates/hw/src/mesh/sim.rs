@@ -34,7 +34,20 @@
 //! purely-inhibited core not before `t + Tinhibit`; both bounds are
 //! exact, so skipped scans are provably no-ops. All of this requires at
 //! most one fire per event, which holds whenever `Tinhibit >= 1` (the
-//! compiler asserts it).
+//! compiler checks it).
+//!
+//! # Quiet ticks
+//!
+//! Almost every 1 ms tick fires nobody, so the protocol above runs only
+//! as a replay. Each tick first [`stage`](LifState::stage)s all of its
+//! events on every core the ingress reaches, outside the core's skip
+//! window. If no core crosses threshold, no neuron fires anywhere and
+//! no inhibition packet moves: every core
+//! [`commit`](LifState::commit)s, and the tick's `k` input multicasts
+//! are billed in bulk from routes summed once at compile time. If any
+//! core crosses, the tick is replayed event by event from the untouched
+//! committed state. Either way the outputs and every [`MeshCost`]
+//! counter are those of the per-event protocol (see DESIGN.md §14).
 //!
 //! Under fabric faults the lockstep degrades *deterministically*: a
 //! core that never receives the input packet does not integrate it, a
@@ -44,7 +57,7 @@
 
 use std::fmt::Write as _;
 
-use crate::mesh::partition::{partition_snn, Partition};
+use crate::mesh::partition::{partition_snn, Partition, MAX_CLUSTER_NEURONS};
 use crate::mesh::place::{place_greedy, Grid, Placement};
 use crate::mesh::route::{Fabric, PORTS_PER_ROUTER};
 use crate::mesh::{
@@ -54,6 +67,7 @@ use crate::sram::{bank_area_um2, bank_read_energy_pj};
 use nc_faults::FaultPlan;
 use nc_snn::lif::{LifState, Prior};
 use nc_snn::{tie_broken_readout, SnnNetwork};
+use std::fmt;
 
 /// Synaptic SRAM bank depth (rows per bank), the TrueNorth-style core
 /// geometry shared with [`crate::truenorth`].
@@ -146,10 +160,138 @@ struct CoreNode {
     /// Whether an inhibition for the current event reached this core
     /// (kills this core's own nomination).
     inhibited_event: bool,
+    /// Un-gated locals of the staged tick if this core integrates it
+    /// and nobody crossed; `None` if the core sits the tick out.
+    ungated: Option<usize>,
+}
+
+impl CoreNode {
+    /// SRAM rows of one weight-column burst.
+    fn column_rows(&self) -> u64 {
+        count_u64(self.locals.len().div_ceil(WEIGHTS_PER_ROW))
+    }
 }
 
 fn count_u64(x: usize) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
+}
+
+/// Why a network cannot be compiled onto a mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MeshError {
+    /// The network has more neurons than the grid's cores can host.
+    TooLarge {
+        /// Neurons in the network.
+        neurons: usize,
+        /// `cores × MAX_CLUSTER_NEURONS`.
+        capacity: usize,
+    },
+    /// `Tinhibit` or `Trefrac` is zero: a fire must gate its own
+    /// millisecond, or one event could fire more than once and the
+    /// distributed commit protocol would not hold.
+    ZeroWindow {
+        /// The network's `Tinhibit` in ms.
+        t_inhibit: u32,
+        /// The network's `Trefrac` in ms.
+        t_refrac: u32,
+    },
+}
+
+impl MeshError {
+    /// Checks that `net` can be compiled onto `grid`.
+    fn check(net: &SnnNetwork, grid: Grid) -> Result<(), MeshError> {
+        let params = net.params();
+        if params.t_inhibit == 0 || params.t_refrac == 0 {
+            return Err(MeshError::ZeroWindow {
+                t_inhibit: params.t_inhibit,
+                t_refrac: params.t_refrac,
+            });
+        }
+        let capacity = grid.cores().saturating_mul(MAX_CLUSTER_NEURONS);
+        if params.neurons > capacity {
+            return Err(MeshError::TooLarge {
+                neurons: params.neurons,
+                capacity,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for MeshError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MeshError::TooLarge { neurons, capacity } => write!(
+                f,
+                "{neurons} neurons cannot fit on a mesh of {capacity} neuron slots"
+            ),
+            MeshError::ZeroWindow {
+                t_inhibit,
+                t_refrac,
+            } => write!(
+                f,
+                "mesh simulation requires Tinhibit >= 1 and Trefrac >= 1 \
+                 (got {t_inhibit} and {t_refrac})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MeshError {}
+
+/// The ingress multicast of one input event — a packet from the
+/// injector to every populated core — summed once from the static
+/// fabric routes, so a quiet tick bills its events in bulk.
+#[derive(Debug, Clone, Default)]
+struct Multicast {
+    packets: u64,
+    dropped_packets: u64,
+    hops: u64,
+    /// `(link, packets)` for every link the multicast crosses.
+    links: Vec<(usize, u64)>,
+}
+
+impl Multicast {
+    fn new(fabric: &Fabric, from: usize, to: &[usize]) -> Multicast {
+        let mut per_link = vec![0u64; fabric.grid().cores() * PORTS_PER_ROUTER];
+        let mut m = Multicast::default();
+        for &c in to {
+            let links = fabric.links(from, c);
+            m.packets += 1;
+            m.hops += count_u64(links.len());
+            m.dropped_packets += u64::from(!fabric.delivered(from, c));
+            for &link in links {
+                per_link[link] += 1;
+            }
+        }
+        m.links = (0..per_link.len())
+            .filter(|&link| per_link[link] > 0)
+            .map(|link| (link, per_link[link]))
+            .collect();
+        m
+    }
+
+    /// Bills `k` multicasts inside the current tick — what `k` calls of
+    /// [`route_packet`] per destination would bill.
+    fn bill(
+        &self,
+        k: u64,
+        link_load: &mut [u64],
+        touched_links: &mut Vec<usize>,
+        cost: &mut MeshCost,
+    ) {
+        cost.packets = cost.packets.wrapping_add(k.wrapping_mul(self.packets));
+        cost.dropped_packets = cost
+            .dropped_packets
+            .wrapping_add(k.wrapping_mul(self.dropped_packets));
+        cost.hops = cost.hops.wrapping_add(k.wrapping_mul(self.hops));
+        for &(link, n) in &self.links {
+            if link_load[link] == 0 {
+                touched_links.push(link);
+            }
+            link_load[link] += k * n;
+        }
+    }
 }
 
 /// Sends one packet, billing hops and per-tick link occupancy along the
@@ -203,6 +345,8 @@ pub struct MeshSnn {
     used: Vec<usize>,
     /// Off-chip ingress: input spikes enter the fabric at core 0.
     injector: usize,
+    /// The ingress multicast of one input event.
+    ingress: Multicast,
     // Reused presentation scratch.
     candidates: Vec<(usize, usize)>,
     link_load: Vec<u64>,
@@ -213,26 +357,38 @@ impl MeshSnn {
     /// Compiles `net` onto `grid` with the default pipeline: affinity
     /// partitioning, greedy traffic-weighted placement, healthy fabric.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the network cannot fit (`neurons > cores * 256`) or if
-    /// `Tinhibit`/`Trefrac` are zero (see [`MeshSnn::compiled`]).
-    pub fn compile(net: &SnnNetwork, grid: Grid) -> MeshSnn {
-        let partition = partition_snn(net, grid.cores());
-        let placement = place_greedy(&partition, grid);
-        MeshSnn::compiled(net, partition, placement, Fabric::healthy(grid))
+    /// [`MeshError::TooLarge`] if the network cannot fit
+    /// (`neurons > cores × MAX_CLUSTER_NEURONS`), [`MeshError::ZeroWindow`]
+    /// if `Tinhibit` or `Trefrac` is zero. Both are checked before
+    /// partitioning.
+    pub fn compile(net: &SnnNetwork, grid: Grid) -> Result<MeshSnn, MeshError> {
+        MeshError::check(net, grid)?;
+        Ok(MeshSnn::pipeline(net, Fabric::healthy(grid)))
     }
 
     /// Like [`MeshSnn::compile`], but with dead links and routers drawn
     /// from `plan` (non-fabric fault models leave the fabric healthy).
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// As [`MeshSnn::compile`].
-    pub fn compile_faulty(net: &SnnNetwork, grid: Grid, plan: &FaultPlan) -> MeshSnn {
+    pub fn compile_faulty(
+        net: &SnnNetwork,
+        grid: Grid,
+        plan: &FaultPlan,
+    ) -> Result<MeshSnn, MeshError> {
+        MeshError::check(net, grid)?;
+        Ok(MeshSnn::pipeline(net, Fabric::with_plan(grid, plan)))
+    }
+
+    /// The default partition and placement over `fabric`.
+    fn pipeline(net: &SnnNetwork, fabric: Fabric) -> MeshSnn {
+        let grid = fabric.grid();
         let partition = partition_snn(net, grid.cores());
         let placement = place_greedy(&partition, grid);
-        MeshSnn::compiled(net, partition, placement, Fabric::with_plan(grid, plan))
+        MeshSnn::compiled(net, partition, placement, fabric)
     }
 
     /// Assembles a mesh from explicit pipeline stages — the seam the
@@ -291,6 +447,8 @@ impl MeshSnn {
             .filter(|&c| !cores[c].locals.is_empty())
             .collect();
 
+        let injector = 0;
+        let ingress = Multicast::new(&fabric, injector, &used);
         let link_load = vec![0u64; grid.cores() * PORTS_PER_ROUTER];
         MeshSnn {
             grid,
@@ -300,7 +458,8 @@ impl MeshSnn {
             net: net.clone(),
             cores,
             used,
-            injector: 0,
+            injector,
+            ingress,
             candidates: Vec::new(),
             link_load,
             touched_links: Vec::new(),
@@ -412,6 +571,7 @@ impl MeshSnn {
             link_load,
             touched_links,
             injector,
+            ingress,
             ..
         } = self;
         let params = net.params();
@@ -428,96 +588,136 @@ impl MeshSnn {
         let mut cost = MeshCost::default();
         let mut winner: Option<usize> = None;
         let mut fires: Vec<(u32, usize)> = Vec::new();
-        let mut cur_t: Option<u32> = None;
 
-        for ev in &events {
-            let (t, input) = (ev.t, ev.input);
-            if cur_t != Some(t) {
-                flush_tick(link_load, touched_links, &mut cost);
-                cur_t = Some(t);
-            }
-            if let Some(tr) = trace.as_deref_mut() {
-                let _ = writeln!(tr, "E {t} {input}");
-            }
-            // Input multicast from the ingress router to every populated
-            // core, then tentative local integration: each delivered,
-            // non-skipping core nominates at most one firing candidate.
-            candidates.clear();
-            for &c in used.iter() {
-                let delivered =
-                    route_packet(fabric, link_load, touched_links, *injector, c, &mut cost);
+        for tick in events.chunk_by(|a, b| a.t == b.t) {
+            let t = tick[0].t;
+            // Stage the whole tick on every core the ingress reaches,
+            // outside its skip window. Delivery from the ingress is
+            // static, so a core hears all of the tick's events or none.
+            let quiet = used.iter().all(|&c| {
                 let core = &mut cores[c];
-                core.inhibited_event = false;
-                core.undo.clear();
-                if !delivered || core.lif.skipping(t) {
-                    continue;
+                core.ungated = None;
+                if !fabric.delivered(*injector, c) || core.lif.skipping(t) {
+                    return true;
                 }
                 let ln = core.locals.len();
-                // One burst read of the event's weight column.
-                cost.sram_rows = cost
-                    .sram_rows
-                    .wrapping_add(count_u64(ln.div_ceil(WEIGHTS_PER_ROW)));
-                let wcol = &core.wcols[input * ln..(input + 1) * ln];
-                let undo = &mut core.undo;
-                let updates = &mut cost.neuron_updates;
-                let crossing = core.lif.scan(
-                    t,
-                    0,
-                    lut,
-                    &core.thresholds,
-                    |slot| f64::from(wcol[slot]),
-                    |prior, _| {
-                        undo.push(prior);
-                        *updates = updates.wrapping_add(1);
-                    },
-                );
-                if let Some(slot) = crossing {
-                    candidates.push((core.locals[slot], c));
-                }
-            }
-            // Resolve in ascending global order — the reference scan
-            // order. On a healthy fabric the first fire inhibits every
-            // other candidate; a missed inhibition packet lets the next
-            // candidate cascade, deterministically.
-            candidates.sort_unstable();
-            for &(j, cj) in candidates.iter() {
-                if cores[cj].inhibited_event {
-                    continue;
-                }
-                fires.push((t, j));
-                if winner.is_none() {
-                    winner = Some(j);
+                let wcols = &core.wcols;
+                let cols = tick
+                    .iter()
+                    .map(|ev| &wcols[ev.input * ln..(ev.input + 1) * ln]);
+                core.ungated = core.lif.stage(t, lut, &core.thresholds, cols);
+                core.ungated.is_some()
+            });
+            if quiet {
+                // Nobody fires, so no inhibition moves: commit every
+                // core and bill the tick's input multicasts in bulk.
+                let k = count_u64(tick.len());
+                ingress.bill(k, link_load, touched_links, &mut cost);
+                for &c in used.iter() {
+                    let core = &mut cores[c];
+                    if let Some(ungated) = core.ungated {
+                        cost.sram_rows = cost
+                            .sram_rows
+                            .wrapping_add(k.wrapping_mul(core.column_rows()));
+                        cost.neuron_updates = cost
+                            .neuron_updates
+                            .wrapping_add(k.wrapping_mul(count_u64(ungated)));
+                        core.lif.commit(t);
+                    }
                 }
                 if let Some(tr) = trace.as_deref_mut() {
-                    let _ = writeln!(tr, "F {t} {j}");
+                    for ev in tick {
+                        let _ = writeln!(tr, "E {t} {}", ev.input);
+                    }
                 }
-                // The firer keeps the updates below it (the reference
-                // made them before the fire) and un-integrates the event
-                // above it (the fire gated those neurons).
-                let core = &mut cores[cj];
-                if let Ok(slot) = core.locals.binary_search(&j) {
-                    core.lif.revert(&mut core.undo, slot + 1);
-                    core.lif.fire(slot, t, params);
+                flush_tick(link_load, touched_links, &mut cost);
+                continue;
+            }
+            // Replay the tick event by event with the speculative
+            // protocol, from the untouched committed state.
+            for ev in tick {
+                let input = ev.input;
+                if let Some(tr) = trace.as_deref_mut() {
+                    let _ = writeln!(tr, "E {t} {input}");
                 }
-                core.inhibited_event = true;
-                for &c2 in used.iter() {
-                    if c2 == cj
-                        || !route_packet(fabric, link_load, touched_links, cj, c2, &mut cost)
-                    {
+                // Input multicast from the ingress router to every populated
+                // core, then tentative local integration: each delivered,
+                // non-skipping core nominates at most one firing candidate.
+                candidates.clear();
+                for &c in used.iter() {
+                    let delivered =
+                        route_packet(fabric, link_load, touched_links, *injector, c, &mut cost);
+                    let core = &mut cores[c];
+                    core.inhibited_event = false;
+                    core.undo.clear();
+                    if !delivered || core.lif.skipping(t) {
                         continue;
                     }
-                    // Locals above `j` un-integrate the event; all are
-                    // inhibited. Idempotent, so cascades under faults
-                    // may deliver it repeatedly.
-                    let core = &mut cores[c2];
-                    let above = core.locals.partition_point(|&g| g <= j);
-                    core.lif.revert(&mut core.undo, above);
-                    core.lif.inhibit(t, params);
+                    // One burst read of the event's weight column.
+                    cost.sram_rows = cost.sram_rows.wrapping_add(core.column_rows());
+                    let ln = core.locals.len();
+                    let wcol = &core.wcols[input * ln..(input + 1) * ln];
+                    let undo = &mut core.undo;
+                    let updates = &mut cost.neuron_updates;
+                    let crossing = core.lif.scan(
+                        t,
+                        0,
+                        lut,
+                        &core.thresholds,
+                        |slot| f64::from(wcol[slot]),
+                        |prior, _| {
+                            undo.push(prior);
+                            *updates = updates.wrapping_add(1);
+                        },
+                    );
+                    if let Some(slot) = crossing {
+                        candidates.push((core.locals[slot], c));
+                    }
+                }
+                // Resolve in ascending global order — the reference scan
+                // order. On a healthy fabric the first fire inhibits every
+                // other candidate; a missed inhibition packet lets the next
+                // candidate cascade, deterministically.
+                candidates.sort_unstable();
+                for &(j, cj) in candidates.iter() {
+                    if cores[cj].inhibited_event {
+                        continue;
+                    }
+                    fires.push((t, j));
+                    if winner.is_none() {
+                        winner = Some(j);
+                    }
+                    if let Some(tr) = trace.as_deref_mut() {
+                        let _ = writeln!(tr, "F {t} {j}");
+                    }
+                    // The firer keeps the updates below it (the reference
+                    // made them before the fire) and un-integrates the event
+                    // above it (the fire gated those neurons).
+                    let core = &mut cores[cj];
+                    if let Ok(slot) = core.locals.binary_search(&j) {
+                        core.lif.revert(&mut core.undo, slot + 1);
+                        core.lif.fire(slot, t, params);
+                    }
                     core.inhibited_event = true;
+                    for &c2 in used.iter() {
+                        if c2 == cj
+                            || !route_packet(fabric, link_load, touched_links, cj, c2, &mut cost)
+                        {
+                            continue;
+                        }
+                        // Locals above `j` un-integrate the event; all are
+                        // inhibited. Idempotent, so cascades under faults
+                        // may deliver it repeatedly.
+                        let core = &mut cores[c2];
+                        let above = core.locals.partition_point(|&g| g <= j);
+                        core.lif.revert(&mut core.undo, above);
+                        core.lif.inhibit(t, params);
+                        core.inhibited_event = true;
+                    }
                 }
             }
+            flush_tick(link_load, touched_links, &mut cost);
         }
-        flush_tick(link_load, touched_links, &mut cost);
 
         let mut potentials = vec![0.0f64; params.neurons];
         for &c in used.iter() {

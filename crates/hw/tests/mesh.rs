@@ -6,9 +6,11 @@
 
 use nc_faults::{FaultModel, FaultPlan};
 use nc_hw::mesh::{
-    partition_snn, place_greedy, place_linear, Fabric, Grid, MeshSnn, MAX_CLUSTER_NEURONS,
+    partition_snn, place_greedy, place_linear, Fabric, Grid, MeshError, MeshSnn,
+    MAX_CLUSTER_NEURONS,
 };
 use nc_snn::{CodingScheme, SnnNetwork, SnnParams};
+use nc_substrate::check::check_cases;
 
 const ALL_CODINGS: [CodingScheme; 4] = [
     CodingScheme::PoissonRate,
@@ -42,7 +44,7 @@ fn mesh_is_bit_exact_vs_reference_for_all_codings_and_grids() {
     for coding in ALL_CODINGS {
         let mut net = test_net(64, 30, coding, 7);
         for grid in [Grid::new(1, 1), Grid::new(2, 2), Grid::new(4, 4)] {
-            let mut mesh = MeshSnn::compile(&net, grid);
+            let mut mesh = MeshSnn::compile(&net, grid).unwrap();
             for pseed in [0u64, 1, 2, 0xABCD] {
                 let pixels = test_pixels(64, pseed);
                 let reference = net.present(&pixels, pseed);
@@ -76,7 +78,7 @@ fn mesh_presentations_do_fire_and_bill_the_fabric() {
     // Guard against the bit-exactness test passing vacuously on
     // silent no-spike presentations.
     let mut net = test_net(64, 30, CodingScheme::PoissonRate, 7);
-    let mut mesh = MeshSnn::compile(&net, Grid::new(2, 2));
+    let mut mesh = MeshSnn::compile(&net, Grid::new(2, 2)).unwrap();
     let pixels = test_pixels(64, 1);
     let reference = net.present(&pixels, 1);
     assert!(!reference.fires.is_empty(), "test network never fired");
@@ -102,7 +104,7 @@ fn mesh_unlocks_networks_beyond_one_core() {
     // 320 neurons exceed the 256-neuron core: impossible on a 1x1 grid,
     // bit-exact on a 4x4.
     let mut net = test_net(32, 320, CodingScheme::GaussianRate, 11);
-    let mut mesh = MeshSnn::compile(&net, Grid::new(4, 4));
+    let mut mesh = MeshSnn::compile(&net, Grid::new(4, 4)).unwrap();
     assert!(mesh.partition().num_clusters() > 1);
     assert!(mesh
         .partition()
@@ -118,10 +120,38 @@ fn mesh_unlocks_networks_beyond_one_core() {
 }
 
 #[test]
-#[should_panic(expected = "cannot fit")]
 fn oversized_networks_are_rejected_on_one_core() {
     let net = test_net(8, 320, CodingScheme::PoissonRate, 11);
-    let _ = MeshSnn::compile(&net, Grid::new(1, 1));
+    assert_eq!(
+        MeshSnn::compile(&net, Grid::new(1, 1)).unwrap_err(),
+        MeshError::TooLarge {
+            neurons: 320,
+            capacity: MAX_CLUSTER_NEURONS,
+        }
+    );
+}
+
+#[test]
+fn capacity_is_checked_at_exactly_the_limit_and_one_past_it() {
+    for (grid, cores) in [(Grid::new(1, 1), 1), (Grid::new(2, 1), 2)] {
+        let capacity = cores * MAX_CLUSTER_NEURONS;
+        let full = test_net(4, capacity, CodingScheme::PoissonRate, 3);
+        let mesh = MeshSnn::compile(&full, grid).unwrap();
+        assert_eq!(mesh.partition().neurons(), capacity);
+        let plan = FaultPlan::new(FaultModel::DeadLink, 0.5, 1).unwrap();
+        assert!(MeshSnn::compile_faulty(&full, grid, &plan).is_ok());
+        let over = test_net(4, capacity + 1, CodingScheme::PoissonRate, 3);
+        let err = MeshError::TooLarge {
+            neurons: capacity + 1,
+            capacity,
+        };
+        assert_eq!(MeshSnn::compile(&over, grid).unwrap_err(), err);
+        assert_eq!(
+            MeshSnn::compile_faulty(&over, grid, &plan).unwrap_err(),
+            err
+        );
+        assert!(err.to_string().contains("cannot fit"));
+    }
 }
 
 #[test]
@@ -150,7 +180,7 @@ fn routed_trace_is_placement_invariant() {
 fn zero_rate_fabric_plans_are_healthy() {
     let mut net = test_net(64, 30, CodingScheme::PoissonRate, 7);
     let plan = FaultPlan::new(FaultModel::DeadLink, 0.0, 5).unwrap_or_else(|_| unreachable!());
-    let mut mesh = MeshSnn::compile_faulty(&net, Grid::new(2, 2), &plan);
+    let mut mesh = MeshSnn::compile_faulty(&net, Grid::new(2, 2), &plan).unwrap();
     let pixels = test_pixels(64, 3);
     let reference = net.present(&pixels, 6);
     let routed = mesh.present(&pixels, 6);
@@ -165,8 +195,8 @@ fn fabric_faults_degrade_deterministically() {
     let pixels = test_pixels(64, 8);
     for model in [FaultModel::DeadLink, FaultModel::DeadRouter] {
         let plan = FaultPlan::new(model, 0.4, 21).unwrap_or_else(|_| unreachable!());
-        let mut a = MeshSnn::compile_faulty(&net, Grid::new(4, 4), &plan);
-        let mut b = MeshSnn::compile_faulty(&net, Grid::new(4, 4), &plan);
+        let mut a = MeshSnn::compile_faulty(&net, Grid::new(4, 4), &plan).unwrap();
+        let mut b = MeshSnn::compile_faulty(&net, Grid::new(4, 4), &plan).unwrap();
         let pa = a.present(&pixels, 2);
         let pb = b.present(&pixels, 2);
         assert_eq!(pa, pb, "{model:?} not deterministic");
@@ -183,7 +213,7 @@ fn saturated_dead_links_isolate_the_ingress_core() {
     // grid-center cluster on a 2x2: core 0) still hears the input.
     let net = test_net(64, 30, CodingScheme::PoissonRate, 7);
     let plan = FaultPlan::new(FaultModel::DeadLink, 1.0, 2).unwrap_or_else(|_| unreachable!());
-    let mut mesh = MeshSnn::compile_faulty(&net, Grid::new(2, 2), &plan);
+    let mut mesh = MeshSnn::compile_faulty(&net, Grid::new(2, 2), &plan).unwrap();
     let pixels = test_pixels(64, 4);
     let p = mesh.present(&pixels, 9);
     assert!(p.cost.dropped_packets > 0);
@@ -218,11 +248,12 @@ fn pinned_meshes(net: &SnnNetwork) -> Vec<(&'static str, MeshSnn)> {
     let plan =
         |model, rate, seed| FaultPlan::new(model, rate, seed).unwrap_or_else(|_| unreachable!());
     vec![
-        ("2x2", MeshSnn::compile(net, Grid::new(2, 2))),
-        ("4x4", MeshSnn::compile(net, Grid::new(4, 4))),
+        ("2x2", MeshSnn::compile(net, Grid::new(2, 2)).unwrap()),
+        ("4x4", MeshSnn::compile(net, Grid::new(4, 4)).unwrap()),
         (
             "4x4 dead_link",
-            MeshSnn::compile_faulty(net, Grid::new(4, 4), &plan(FaultModel::DeadLink, 0.25, 21)),
+            MeshSnn::compile_faulty(net, Grid::new(4, 4), &plan(FaultModel::DeadLink, 0.25, 21))
+                .unwrap(),
         ),
         (
             "4x4 dead_router",
@@ -230,7 +261,8 @@ fn pinned_meshes(net: &SnnNetwork) -> Vec<(&'static str, MeshSnn)> {
                 net,
                 Grid::new(4, 4),
                 &plan(FaultModel::DeadRouter, 0.15, 22),
-            ),
+            )
+            .unwrap(),
         ),
     ]
 }
@@ -316,7 +348,7 @@ fn one_ms_windows_compile_and_stay_bit_exact() {
     // of its millisecond.
     let mut net = windowed_net(1, 1);
     for grid in [Grid::new(1, 1), Grid::new(2, 2), Grid::new(4, 4)] {
-        let mut mesh = MeshSnn::compile(&net, grid);
+        let mut mesh = MeshSnn::compile(&net, grid).unwrap();
         for pseed in [0u64, 1, 2, 0xABCD] {
             let pixels = test_pixels(64, pseed);
             let reference = net.present(&pixels, pseed);
@@ -337,6 +369,32 @@ fn compile_on_2x2(net: &SnnNetwork) -> MeshSnn {
 }
 
 #[test]
+fn compile_rejects_zero_windows_with_a_typed_error() {
+    for (t_inhibit, t_refrac) in [(0, 1), (1, 0), (0, 0)] {
+        let net = windowed_net(t_inhibit, t_refrac);
+        let err = MeshError::ZeroWindow {
+            t_inhibit,
+            t_refrac,
+        };
+        assert_eq!(MeshSnn::compile(&net, Grid::new(2, 2)).unwrap_err(), err);
+        let plan = FaultPlan::new(FaultModel::DeadRouter, 0.2, 4).unwrap();
+        assert_eq!(
+            MeshSnn::compile_faulty(&net, Grid::new(2, 2), &plan).unwrap_err(),
+            err
+        );
+        assert!(err.to_string().contains("Tinhibit >= 1 and Trefrac >= 1"));
+    }
+    // Windows of 1 ms are the smallest accepted.
+    assert!(MeshSnn::compile(&windowed_net(1, 1), Grid::new(2, 2)).is_ok());
+    // Both checks run before partitioning, so a network that neither
+    // fits nor has a valid window is an error, not a partitioner panic.
+    let mut params = SnnParams::for_neurons(300);
+    params.t_inhibit = 0;
+    let net = SnnNetwork::new(8, 10, params, 1);
+    assert!(MeshSnn::compile(&net, Grid::new(1, 1)).is_err());
+}
+
+#[test]
 #[should_panic(expected = "mesh simulation requires Tinhibit >= 1 and Trefrac >= 1")]
 fn zero_inhibition_window_is_rejected() {
     let _ = compile_on_2x2(&windowed_net(0, 1));
@@ -346,4 +404,83 @@ fn zero_inhibition_window_is_rejected() {
 #[should_panic(expected = "mesh simulation requires Tinhibit >= 1 and Trefrac >= 1")]
 fn zero_refractory_window_is_rejected() {
     let _ = compile_on_2x2(&windowed_net(1, 0));
+}
+
+/// Generated deployments: drawn WTA windows, threshold scale, coding,
+/// grid and fabric fault plan, two presentations each on one mesh. Each
+/// case is pinned by one digest over the fires, the winner, the final
+/// potential bits and all six `MeshCost` counters, so any change to the
+/// per-core kernel or the commit protocol that moves an output or a
+/// counter fails here with its replayable case seed. Healthy cases are
+/// also checked against the reference `SnnNetwork::present`.
+#[test]
+fn generated_mesh_cases_are_pinned() {
+    #[rustfmt::skip]
+    const PINNED: [u64; 32] = [
+        0x57e4fa55ef048d8b, 0x3ca19c8c138fb56a, 0x1e1649a5820a6625, 0xbc80281345702063,
+        0xa9e70e0a116810a9, 0xae973cc6ce28c046, 0xf561146fe12db201, 0x269cf4a31e52beaf,
+        0xb1df64b795dcd7dd, 0x391e027dce6d7b3f, 0x85bab89e24b71485, 0xf25ae73d034e302a,
+        0x5b0af0fb127dc097, 0xe99e50f1ab1a90f4, 0x02a5f1d1e1ac7fe6, 0x37277e0d9bcb0417,
+        0x711703d40d3401b5, 0x89a61589544b4a91, 0x98f9fa876d7f4056, 0x43333908b6bb1d82,
+        0x8ca3e2512160a8e8, 0x630f915c210cdd9b, 0xd870bbecc309c042, 0x97b4cd2b8f95c686,
+        0xf049d611769b655d, 0x627eb83849e7e435, 0x5a359cf637fb2757, 0x34660abe50233686,
+        0xd40097ac99e9a4fe, 0x872d7a61ba429458, 0x89eaf5dfdbc6fe7a, 0x9a0a51fa0fb5ae17,
+    ];
+    check_cases(0x4D45_5348_0000_0001, 32, |case, rng| {
+        let idx = usize::try_from(case).unwrap();
+        let mut params = SnnParams::for_neurons(4 + rng.next_index(45));
+        params.t_inhibit = 1 + u32::try_from(rng.next_below(6)).unwrap();
+        params.t_refrac = 1 + u32::try_from(rng.next_below(25)).unwrap();
+        let inputs = 16 + rng.next_index(65);
+        // Threshold per input, log-uniform: from firing on most ticks to
+        // firing a handful of times per presentation.
+        params.initial_threshold = inputs as f64 * (2.0 * 1500f64.powf(rng.next_unit()));
+        let coding = ALL_CODINGS[rng.next_index(ALL_CODINGS.len())];
+        let side = [1, 2, 4][rng.next_index(3)];
+        let grid = Grid::new(side, side);
+        let model = [
+            None,
+            Some(FaultModel::DeadLink),
+            Some(FaultModel::DeadRouter),
+        ][rng.next_index(3)];
+        let mut net = SnnNetwork::with_coding(inputs, 10, params, coding, rng.next_u64());
+        // The explicit pipeline, whose signatures do not change with
+        // the compile front door's error type.
+        let fabric = match model {
+            None => Fabric::healthy(grid),
+            Some(model) => {
+                let plan = FaultPlan::new(model, rng.next_range(0.05, 0.6), rng.next_u64())
+                    .unwrap_or_else(|_| unreachable!());
+                Fabric::with_plan(grid, &plan)
+            }
+        };
+        let partition = partition_snn(&net, grid.cores());
+        let placement = place_greedy(&partition, grid);
+        let mut mesh = MeshSnn::compiled(&net, partition, placement, fabric);
+        let mut words = Vec::new();
+        for _ in 0..2 {
+            let pseed = rng.next_u64();
+            let pixels = test_pixels(inputs, rng.next_u64());
+            let p = mesh.present(&pixels, pseed);
+            if model.is_none() {
+                let reference = net.present(&pixels, pseed);
+                assert_eq!(p.fires, reference.fires, "case {case}: fires");
+                assert_eq!(p.potentials, reference.potentials, "case {case}");
+                assert_eq!(p.readout, reference.readout(), "case {case}");
+            }
+            let k = p.cost;
+            words.extend(p.fires.iter().flat_map(|&(t, j)| [u64::from(t), j as u64]));
+            words.push(p.winner.map_or(u64::MAX, |w| w as u64));
+            words.extend(p.potentials.iter().map(|v| v.to_bits()));
+            words.extend([
+                k.packets,
+                k.dropped_packets,
+                k.hops,
+                k.peak_link_load,
+                k.sram_rows,
+                k.neuron_updates,
+            ]);
+        }
+        assert_eq!(fnv(words), PINNED[idx], "case {case}: digest");
+    });
 }

@@ -23,6 +23,17 @@
 //! the next neuron. Resuming only matters with `Tinhibit = 0`, where a
 //! fire leaves the later neurons un-gated and one event can fire several
 //! of them; otherwise the fire's skip window ends the event.
+//!
+//! A whole 1 ms tick can also go through at once:
+//! [`stage`](LifState::stage) integrates every event of the tick into a
+//! private buffer and compares with the thresholds once at the end, and
+//! [`commit`](LifState::commit) publishes it. Weights are unsigned and
+//! the leak applies once per tick, so a potential only rises within a
+//! tick: a crossing at any event survives to the tick-end compare, and a
+//! tick with none is exactly its events' successive scans — the same f64
+//! operations per neuron, in the same order. A tick that does cross is
+//! replayed event by event through [`scan`](LifState::scan) from the
+//! untouched committed state.
 
 use crate::params::SnnParams;
 
@@ -75,6 +86,15 @@ pub struct LifState {
     /// every neuron is refractory or inhibited until at least this
     /// time, so a scan before it is a no-op and returns at once.
     skip_until: u32,
+    /// Upper bound on every refractory and inhibition window: from this
+    /// ms on nobody is gated, and a staged tick needs no per-neuron mask.
+    gate_until: u32,
+    /// Whether every neuron's last update is the same ms, so a staged
+    /// tick decays the population by one shared factor.
+    synced: bool,
+    /// The staged tick's potentials (see [`LifState::stage`]); entries of
+    /// gated neurons are scratch and never published.
+    staged: Vec<f64>,
 }
 
 impl LifState {
@@ -95,11 +115,20 @@ impl LifState {
         self.inhibited_until.clear();
         self.inhibited_until.resize(n, 0);
         self.skip_until = 0;
+        self.gate_until = 0;
+        self.synced = true;
     }
 
     /// Whether an event at `t` falls in the skip window.
     pub fn skipping(&self, t: u32) -> bool {
         t < self.skip_until
+    }
+
+    /// Whether neuron `j` ignores input at `t`: refractory or inhibited
+    /// neurons are not touched by input spikes (§2.2: "incoming spikes
+    /// have no impact").
+    fn gated(&self, j: usize, t: u32) -> bool {
+        t < self.refractory_until[j] || t < self.inhibited_until[j]
     }
 
     /// Applies one input event at `t` to the un-gated neurons `from..`,
@@ -123,6 +152,7 @@ impl LifState {
         if self.skipping(t) {
             return None;
         }
+        self.synced = false;
         let n = self.potentials.len();
         let potentials = &mut self.potentials[..n];
         let last_update = &mut self.last_update[..n];
@@ -171,6 +201,9 @@ impl LifState {
         self.skip_until = self
             .skip_until
             .max(t + params.t_refrac.min(params.t_inhibit));
+        self.gate_until = self
+            .gate_until
+            .max(t + params.t_refrac.max(params.t_inhibit));
     }
 
     /// Lateral inhibition from a fire at `t` outside this population:
@@ -181,6 +214,94 @@ impl LifState {
             *inh = (*inh).max(until);
         }
         self.skip_until = self.skip_until.max(until);
+        self.gate_until = self.gate_until.max(until);
+    }
+
+    /// Stages every input event of the tick `t` at once: decays each
+    /// un-gated neuron since its last update, adds the weight columns in
+    /// event order (`cols` yields one column per event, indexed by
+    /// neuron), and compares with `thresholds` once, at the end of the
+    /// tick. The committed state is left untouched either way.
+    ///
+    /// Returns the number of un-gated neurons — the update-hook calls a
+    /// [`scan`](LifState::scan) of each event would make — if no neuron
+    /// crosses, ready for [`commit`](LifState::commit); `None` if one
+    /// does, and the tick must be replayed event by event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thresholds` or a column has fewer entries than the
+    /// population.
+    pub fn stage<'a>(
+        &mut self,
+        t: u32,
+        lut: &[f64],
+        thresholds: &[f64],
+        cols: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Option<usize> {
+        let n = self.potentials.len();
+        let open = t >= self.gate_until;
+        self.staged.clear();
+        // Within the table, `decay_with_lut` is one multiply by
+        // `lut[dt]`: a synced population shares that factor.
+        let dt = self.last_update.first().map_or(0, |&u| t.saturating_sub(u));
+        match lut.get(usize::try_from(dt).unwrap_or(usize::MAX)) {
+            Some(_) if self.synced && dt == 0 => self.staged.extend_from_slice(&self.potentials),
+            Some(&f) if self.synced => self.staged.extend(self.potentials.iter().map(|&v| v * f)),
+            _ => {
+                self.staged.extend(
+                    self.potentials
+                        .iter()
+                        .zip(&self.last_update)
+                        .map(|(&v, &u)| match t.saturating_sub(u) {
+                            0 => v,
+                            dt => decay_with_lut(lut, v, u64::from(dt)),
+                        }),
+                )
+            }
+        }
+        // Gated neurons integrate too, into scratch entries that are
+        // never compared or published: the add loop stays unmasked.
+        for col in cols {
+            for (v, &w) in self.staged.iter_mut().zip(&col[..n]) {
+                *v += f64::from(w);
+            }
+        }
+        let thresholds = &thresholds[..n];
+        if open {
+            let crossed = self.staged.iter().zip(thresholds).any(|(v, th)| v >= th);
+            return if crossed { None } else { Some(n) };
+        }
+        let mut ungated = 0;
+        for (j, (v, th)) in self.staged.iter().zip(thresholds).enumerate() {
+            if self.gated(j, t) {
+                continue;
+            }
+            if v >= th {
+                return None;
+            }
+            ungated += 1;
+        }
+        Some(ungated)
+    }
+
+    /// Publishes the tick `t` staged by a quiet [`stage`](LifState::stage):
+    /// every un-gated neuron takes its staged potential and `t` as its
+    /// last update.
+    pub fn commit(&mut self, t: u32) {
+        if t >= self.gate_until {
+            self.potentials.copy_from_slice(&self.staged);
+            self.last_update.fill(t);
+            self.synced = true;
+            return;
+        }
+        self.synced = false;
+        for j in 0..self.potentials.len() {
+            if !self.gated(j, t) {
+                self.potentials[j] = self.staged[j];
+                self.last_update[j] = t;
+            }
+        }
     }
 
     /// Reverts the logged updates of neurons `from..`, popping them off
@@ -280,5 +401,115 @@ mod tests {
         lif.inhibit(5, &params(5, 20));
         assert_eq!(lif.inhibited_until, vec![10, 10, 10]);
         assert_eq!(lif.skip_until, 10);
+    }
+
+    /// Six neurons with distinct potentials and last updates: neuron 1
+    /// refractory until 12, neuron 4 inhibited until 9.
+    fn gated_population() -> LifState {
+        let mut lif = LifState::default();
+        lif.reset(6);
+        lif.potentials = vec![3.5, 80.0, 41.25, 0.0, 17.0, 120.5];
+        lif.last_update = vec![0, 2, 1, 3, 2, 0];
+        lif.refractory_until[1] = 12;
+        lif.inhibited_until[4] = 9;
+        lif.gate_until = 12;
+        lif.synced = false;
+        lif
+    }
+
+    const COLS: [[u8; 6]; 3] = [
+        [10, 200, 7, 255, 1, 0],
+        [0, 13, 99, 4, 250, 31],
+        [66, 0, 0, 128, 9, 200],
+    ];
+
+    fn bits(lif: &LifState) -> (Vec<u64>, Vec<u32>) {
+        let pots = lif.potentials.iter().map(|v| v.to_bits()).collect();
+        (pots, lif.last_update.clone())
+    }
+
+    /// Runs the tick through one `scan` per event; returns the update
+    /// hook's call count per event.
+    fn scan_tick(lif: &mut LifState, t: u32, lut: &[f64], thresholds: &[f64]) -> Vec<usize> {
+        COLS.iter()
+            .map(|col| {
+                let mut calls = 0;
+                let hit = lif.scan(
+                    t,
+                    0,
+                    lut,
+                    thresholds,
+                    |j| f64::from(col[j]),
+                    |_, _| calls += 1,
+                );
+                assert_eq!(hit, None, "the tick must be quiet");
+                calls
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_quiet_staged_tick_equals_its_successive_scans() {
+        let lut: Vec<f64> = (0..=40).map(|dt| (-f64::from(dt) / 7.0).exp()).collect();
+        let thresholds = [1e9; 6];
+        let mut staged = gated_population();
+        let mut scanned = staged.clone();
+        // t = 7: neurons 1 and 4 gated; t = 10: only neuron 1; t = 12
+        // reaches `gate_until` (unmasked); t = 13 and 30 start synced
+        // (one shared factor); t = 90 is 60 ms past the 40 ms table, so
+        // the leak composes factors per neuron.
+        for t in [7, 10, 12, 13, 30, 90] {
+            let calls = scan_tick(&mut scanned, t, &lut, &thresholds);
+            let cols = COLS.iter().map(|c| &c[..]);
+            let ungated = staged.stage(t, &lut, &thresholds, cols);
+            assert_eq!(ungated, Some(calls[0]), "t {t}: un-gated count");
+            assert!(calls.iter().all(|&c| c == calls[0]));
+            staged.commit(t);
+            assert_eq!(bits(&staged), bits(&scanned), "t {t}");
+        }
+        assert!(staged.synced);
+    }
+
+    #[test]
+    fn a_crossing_tick_stages_nothing() {
+        let lut = vec![0.5; 13];
+        // Neuron 2 crosses only at the tick's second event.
+        let thresholds = [1e9, 1e9, 120.0, 1e9, 1e9, 1e9];
+        let mut lif = gated_population();
+        let before = lif.clone();
+        let cols = COLS.iter().map(|c| &c[..]);
+        assert_eq!(lif.stage(7, &lut, &thresholds, cols), None);
+        lif.staged.clear();
+        assert_eq!(lif, before, "committed state untouched");
+        // Past `gate_until` the unmasked compare sees it too.
+        let cols = COLS.iter().map(|c| &c[..]);
+        assert_eq!(lif.stage(12, &lut, &thresholds, cols), None);
+        lif.staged.clear();
+        assert_eq!(lif, before);
+        // Reaching the threshold exactly is a crossing, as in `scan`:
+        // neuron 0 rests at 0 and gains 10 + 0 + 66 with no leak.
+        let mut lif = LifState::default();
+        lif.reset(6);
+        let thresholds = [76.0, 1e9, 1e9, 1e9, 1e9, 1e9];
+        let cols = COLS.iter().map(|c| &c[..]);
+        assert_eq!(lif.stage(0, &[1.0], &thresholds, cols), None);
+        assert_eq!(
+            lif.scan(0, 0, &[1.0], &thresholds, |_| 76.0, |_, _| {}),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn gate_until_bounds_every_gate() {
+        let mut lif = LifState::default();
+        lif.reset(3);
+        lif.fire(0, 5, &params(3, 20));
+        assert_eq!(lif.gate_until, 25);
+        lif.inhibit(30, &params(3, 20));
+        assert_eq!(lif.gate_until, 33);
+        let bound = lif.refractory_until.iter().chain(&lif.inhibited_until);
+        assert!(bound.into_iter().all(|&g| g <= lif.gate_until));
+        lif.reset(3);
+        assert_eq!((lif.gate_until, lif.synced), (0, true));
     }
 }
