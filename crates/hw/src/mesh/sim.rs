@@ -151,8 +151,9 @@ pub struct MeshPresentation {
 struct CoreNode {
     /// Hosted neurons, ascending global ids; slot `s` is `locals[s]`.
     locals: Vec<usize>,
-    /// Weight columns, `wcols[input * locals.len() + slot]`.
-    wcols: Vec<u8>,
+    /// Weight columns as exact f64 values,
+    /// `wcols[input * locals.len() + slot]`.
+    wcols: Vec<f64>,
     thresholds: Vec<f64>,
     lif: LifState,
     /// Tentative updates of the current event, ascending slot order.
@@ -434,10 +435,10 @@ impl MeshSnn {
         for (cluster, members) in partition.clusters().iter().enumerate() {
             let core = &mut cores[placement.core_of(cluster)];
             let ln = members.len();
-            core.wcols = vec![0u8; inputs * ln];
+            core.wcols = vec![0.0; inputs * ln];
             for input in 0..inputs {
                 for (slot, &g) in members.iter().enumerate() {
-                    core.wcols[input * ln + slot] = weights[g * inputs + input];
+                    core.wcols[input * ln + slot] = f64::from(weights[g * inputs + input]);
                 }
             }
             core.thresholds = members.iter().map(|&g| thresholds[g]).collect();
@@ -664,7 +665,7 @@ impl MeshSnn {
                         0,
                         lut,
                         &core.thresholds,
-                        |slot| f64::from(wcol[slot]),
+                        |slot| wcol[slot],
                         |prior, _| {
                             undo.push(prior);
                             *updates = updates.wrapping_add(1);

@@ -24,16 +24,17 @@
 //! fire leaves the later neurons un-gated and one event can fire several
 //! of them; otherwise the fire's skip window ends the event.
 //!
-//! A whole 1 ms tick can also go through at once:
+//! A whole 1 ms tick can also go through at once, and this is the one
+//! tick sweep: the streaming inference path and every mesh core run it.
 //! [`stage`](LifState::stage) integrates every event of the tick into a
-//! private buffer and compares with the thresholds once at the end, and
-//! [`commit`](LifState::commit) publishes it. Weights are unsigned and
-//! the leak applies once per tick, so a potential only rises within a
-//! tick: a crossing at any event survives to the tick-end compare, and a
-//! tick with none is exactly its events' successive scans — the same f64
-//! operations per neuron, in the same order. A tick that does cross is
-//! replayed event by event through [`scan`](LifState::scan) from the
-//! untouched committed state.
+//! private buffer, adding f64 weight columns, and compares with the
+//! thresholds once at the end; [`commit`](LifState::commit) publishes
+//! it. Weights are unsigned and the leak applies once per tick, so a
+//! potential only rises within a tick: a crossing at any event survives
+//! to the tick-end compare, and a tick with none is exactly its events'
+//! successive scans — the same f64 operations per neuron, in the same
+//! order. A tick that does cross is replayed event by event through
+//! [`scan`](LifState::scan) from the untouched committed state.
 
 use crate::params::SnnParams;
 
@@ -140,6 +141,10 @@ impl LifState {
     /// # Panics
     ///
     /// Panics if `thresholds` has fewer entries than the population.
+    // Inlined into every caller so its hooks fold into the neuron loop;
+    // left out of line, `simulate`'s two instances (healthy and faulty
+    // weight hook) made STDP training markedly slower.
+    #[inline(always)]
     pub fn scan(
         &mut self,
         t: u32,
@@ -218,10 +223,11 @@ impl LifState {
     }
 
     /// Stages every input event of the tick `t` at once: decays each
-    /// un-gated neuron since its last update, adds the weight columns in
-    /// event order (`cols` yields one column per event, indexed by
-    /// neuron), and compares with `thresholds` once, at the end of the
-    /// tick. The committed state is left untouched either way.
+    /// un-gated neuron since its last update, adds the f64 weight columns
+    /// in event order (`cols` yields one column per event, indexed by
+    /// neuron, holding exact 8-bit values), and compares with
+    /// `thresholds` once, at the end of the tick. The committed state is
+    /// left untouched either way.
     ///
     /// Returns the number of un-gated neurons — the update-hook calls a
     /// [`scan`](LifState::scan) of each event would make — if no neuron
@@ -237,7 +243,7 @@ impl LifState {
         t: u32,
         lut: &[f64],
         thresholds: &[f64],
-        cols: impl IntoIterator<Item = &'a [u8]>,
+        cols: impl IntoIterator<Item = &'a [f64]>,
     ) -> Option<usize> {
         let n = self.potentials.len();
         let open = t >= self.gate_until;
@@ -264,13 +270,18 @@ impl LifState {
         // never compared or published: the add loop stays unmasked.
         for col in cols {
             for (v, &w) in self.staged.iter_mut().zip(&col[..n]) {
-                *v += f64::from(w);
+                *v += w;
             }
         }
         let thresholds = &thresholds[..n];
         if open {
-            let crossed = self.staged.iter().zip(thresholds).any(|(v, th)| v >= th);
-            return if crossed { None } else { Some(n) };
+            // A branchless fold rather than a short-circuiting `any`, so
+            // the compare vectorizes: almost every tick is quiet.
+            let mut crossed = false;
+            for (&v, &th) in self.staged.iter().zip(thresholds) {
+                crossed |= v >= th;
+            }
+            return (!crossed).then_some(n);
         }
         let mut ungated = 0;
         for (j, (v, th)) in self.staged.iter().zip(thresholds).enumerate() {
@@ -287,10 +298,10 @@ impl LifState {
 
     /// Publishes the tick `t` staged by a quiet [`stage`](LifState::stage):
     /// every un-gated neuron takes its staged potential and `t` as its
-    /// last update.
+    /// last update. With nobody gated the two buffers swap.
     pub fn commit(&mut self, t: u32) {
         if t >= self.gate_until {
-            self.potentials.copy_from_slice(&self.staged);
+            std::mem::swap(&mut self.potentials, &mut self.staged);
             self.last_update.fill(t);
             self.synced = true;
             return;
@@ -417,10 +428,10 @@ mod tests {
         lif
     }
 
-    const COLS: [[u8; 6]; 3] = [
-        [10, 200, 7, 255, 1, 0],
-        [0, 13, 99, 4, 250, 31],
-        [66, 0, 0, 128, 9, 200],
+    const COLS: [[f64; 6]; 3] = [
+        [10.0, 200.0, 7.0, 255.0, 1.0, 0.0],
+        [0.0, 13.0, 99.0, 4.0, 250.0, 31.0],
+        [66.0, 0.0, 0.0, 128.0, 9.0, 200.0],
     ];
 
     fn bits(lif: &LifState) -> (Vec<u64>, Vec<u32>) {
@@ -434,14 +445,7 @@ mod tests {
         COLS.iter()
             .map(|col| {
                 let mut calls = 0;
-                let hit = lif.scan(
-                    t,
-                    0,
-                    lut,
-                    thresholds,
-                    |j| f64::from(col[j]),
-                    |_, _| calls += 1,
-                );
+                let hit = lif.scan(t, 0, lut, thresholds, |j| col[j], |_, _| calls += 1);
                 assert_eq!(hit, None, "the tick must be quiet");
                 calls
             })

@@ -23,7 +23,7 @@
 //!   normalized by label frequency.
 
 use crate::coding::{CodingScheme, RateStreams, SpikeEvent};
-use crate::lif::LifState;
+use crate::lif::{LifState, Prior};
 use crate::params::SnnParams;
 use crate::trace::PresentationTrace;
 use nc_dataset::model::{ModelError, EVAL_PRESENTATION_SEED_BASE};
@@ -124,8 +124,7 @@ impl SimScratch {
 
 /// Reusable state for the streaming winner-only inference path
 /// ([`SnnNetwork`]'s `simulate_streaming`): the per-pixel generator
-/// streams, the per-millisecond calendar queue, and the working buffers
-/// of the bucket-at-a-time potential kernel.
+/// streams and the per-millisecond calendar queue.
 #[derive(Debug, Clone, Default)]
 struct StreamScratch {
     /// Lazy per-pixel spike generators for the current presentation.
@@ -145,17 +144,6 @@ struct StreamScratch {
     /// duplicates adjacent — so a bucket doubles as the replay script
     /// when a threshold crossing is detected.
     slots: Vec<u32>,
-    /// Second half of the potential double buffer (the first half is
-    /// the simulation scratch's LIF potentials).
-    pot_next: Vec<f64>,
-    /// `f64` mirror of the network's column-major `weights_t`
-    /// (`f64::from` per element is exact, so adding from this mirror is
-    /// bit-identical to converting each `u8` on the fly — it just lets
-    /// the add sweep autovectorize as pure f64 adds). Rebuilt lazily
-    /// whenever `wcols_rev` trails the network's weight revision.
-    wcols: Vec<f64>,
-    /// Weight revision this mirror was built from (0 = never built).
-    wcols_rev: u64,
 }
 
 /// The single-layer WTA spiking network.
@@ -177,17 +165,14 @@ pub struct SnnNetwork {
     coding: CodingScheme,
     /// Excitatory weights, row-major `[neuron][input]`, 8-bit.
     weights: Vec<u8>,
-    /// Column-major mirror of `weights` (`[input][neuron]`): the event
-    /// loop touches every neuron for one input, so this layout makes the
-    /// hot inner loop a contiguous scan instead of an `inputs`-strided
-    /// gather. Kept in sync by [`SnnNetwork::rebuild_weights_t`] and the
-    /// incremental STDP update.
-    weights_t: Vec<u8>,
-    /// Monotone weight revision, bumped by every mutation of
-    /// `weights_t`; lets the streaming path's f64 mirror rebuild lazily
-    /// (weights never change during inference, so the mirror is built
-    /// once per trained network, not once per presentation).
-    weights_rev: u64,
+    /// Column-major f64 mirror of `weights` (`[input][neuron]`), the
+    /// only other copy: the event loop touches every neuron for one
+    /// input, so this layout makes the hot inner loop a contiguous scan
+    /// instead of an `inputs`-strided gather, and `f64::from` is exact,
+    /// so the kernel adds it with no per-element conversion. Kept in
+    /// sync by [`SnnNetwork::rebuild_weights_t`] and the incremental
+    /// STDP update.
+    weights_t: Vec<f64>,
     /// Per-neuron firing thresholds (homeostasis adjusts them).
     thresholds: Vec<f64>,
     /// Per-(neuron, class) win counters for self-labeling.
@@ -267,7 +252,6 @@ impl SnnNetwork {
             coding,
             weights,
             weights_t: Vec::new(),
-            weights_rev: 0,
             thresholds: vec![threshold; n],
             label_counts: vec![0; n * classes],
             class_presented: vec![0; classes],
@@ -293,15 +277,11 @@ impl SnnNetwork {
     /// update maintains it incrementally instead.
     fn rebuild_weights_t(&mut self) {
         let n = self.params.neurons;
-        self.weights_rev += 1;
         self.weights_t.clear();
-        self.weights_t.resize(n * self.inputs, 0);
-        for j in 0..n {
-            for (i, &w) in self.weights[j * self.inputs..(j + 1) * self.inputs]
-                .iter()
-                .enumerate()
-            {
-                self.weights_t[i * n + j] = w;
+        self.weights_t.resize(n * self.inputs, 0.0);
+        for (j, row) in self.weights.chunks_exact(self.inputs).enumerate() {
+            for (i, &w) in row.iter().enumerate() {
+                self.weights_t[i * n + j] = f64::from(w);
             }
         }
     }
@@ -557,26 +537,27 @@ impl SnnNetwork {
             // only `Tinhibit = 0` lets a later neuron fire on it too.
             let mut from = 0;
             loop {
-                let col = &self.weights_t[input * n..(input + 1) * n];
-                let faults = &self.faults;
-                let crossing = sim.lif.scan(
-                    t,
-                    from,
-                    &self.decay_lut,
-                    &self.thresholds,
-                    |j| {
-                        f64::from(if faults_active {
-                            faults.read_u8(col[j])
-                        } else {
-                            col[j]
-                        })
-                    },
-                    |prior, v| {
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.record_potential(prior.neuron, t, v);
-                        }
-                    },
-                );
+                let (lut, thresholds) = (&self.decay_lut, &self.thresholds);
+                let mut on_update = |prior: Prior, v| {
+                    if let Some(tr) = trace.as_deref_mut() {
+                        tr.record_potential(prior.neuron, t, v);
+                    }
+                };
+                // A faulty read port perturbs the stored 8-bit weight. The
+                // two ports are separate scans, so the healthy one carries
+                // no per-neuron fault branch.
+                let crossing = if faults_active {
+                    let faulty = |j| {
+                        let stored = self.weights[j * self.inputs + input];
+                        f64::from(self.faults.read_u8(stored))
+                    };
+                    sim.lif
+                        .scan(t, from, lut, thresholds, faulty, &mut on_update)
+                } else {
+                    let col = &self.weights_t[input * n..(input + 1) * n];
+                    sim.lif
+                        .scan(t, from, lut, thresholds, |j| col[j], &mut on_update)
+                };
                 let Some(j) = crossing else { break };
                 sim.lif.fire(j, t, &self.params);
                 sim.fires.push((t, j));
@@ -633,39 +614,18 @@ impl SnnNetwork {
     /// if none fires — the final potentials. The eager path materializes
     /// the whole spike train as one vector and sorts it by
     /// `(time, input)`; this path instead drains each pixel's generator
-    /// straight into a per-millisecond calendar ([`RateStreams`]) and
-    /// runs a bucket-at-a-time potential kernel that exits at the first
-    /// threshold crossing.
+    /// straight into a per-millisecond calendar ([`RateStreams`]) whose
+    /// buckets come out in that same order with no global sort.
     ///
-    /// Mechanics, and why the outcome is bit-identical to the event
-    /// loop's:
-    ///
-    /// * **Calendar queue.** Draining pixels in ascending input order
-    ///   files every bucket's events already sorted: within one
-    ///   millisecond, lower inputs were drained first, and a pixel's
-    ///   duplicate same-ms spikes land adjacent. That is exactly the
-    ///   `(t, input)`-sorted event order of the eager encoder, with no
-    ///   global sort.
-    /// * **Bucket-at-a-time kernel.** Until the first fire nothing is
-    ///   refractory or inhibited and every neuron shares one
-    ///   `last_update`, so the per-event scalar loop degenerates to: one
-    ///   shared decay at the bucket boundary, then one add sweep per
-    ///   event. Performing the decay as one pass and the adds as
-    ///   per-event passes applies the identical f64 operation sequence
-    ///   to each neuron, hence bit-identical potentials.
-    /// * **One threshold check per bucket.** Weights are unsigned and
-    ///   decay happens only at the bucket boundary, so potentials are
-    ///   monotone non-decreasing across a bucket: a crossing anywhere
-    ///   inside survives to the bucket end and cannot be missed.
-    /// * **Scalar replay.** On a crossing, the bucket is replayed in
-    ///   event order from the pre-bucket potentials; the first
-    ///   `(event, neuron)` crossing is the winner, because in the event
-    ///   loop a fire instantly inhibits every other neuron — nothing
-    ///   later in the bucket can fire first.
-    ///
-    /// With no crossing anywhere the full train has been processed and
-    /// the committed buffer holds the same final potentials the event
-    /// loop leaves behind (no fire means no gating ever engaged).
+    /// Each populated bucket is one 1 ms tick of the shared LIF kernel:
+    /// [`LifState::stage`] then [`LifState::commit`], bit-identical to
+    /// the event loop's scans (see [`crate::lif`]). The first bucket that
+    /// crosses threshold is replayed event by event through
+    /// [`LifState::scan`] from the committed state, and its first
+    /// crossing is the winner: in the event loop a fire gates every
+    /// other neuron, so nothing later in the bucket can fire first. With
+    /// no crossing anywhere, the committed potentials are the event
+    /// loop's final ones (no fire means no gating ever engaged).
     fn simulate_streaming(&mut self, pixels: &[u8], presentation_seed: u64) -> Option<usize> {
         assert_eq!(
             pixels.len(),
@@ -676,7 +636,7 @@ impl SnnNetwork {
         );
         let n = self.params.neurons;
         let seed = self.presentation_rng_seed(presentation_seed);
-        let mut stream = std::mem::take(&mut self.stream);
+        let stream = &mut self.stream;
         let live = stream.streams.rebuild(
             self.coding,
             pixels,
@@ -685,13 +645,6 @@ impl SnnNetwork {
             self.gen_fault.as_ref(),
         );
         debug_assert!(live, "callers gate on is_rate_code");
-        if stream.wcols_rev != self.weights_rev {
-            stream.wcols.clear();
-            stream
-                .wcols
-                .extend(self.weights_t.iter().map(|&w| f64::from(w)));
-            stream.wcols_rev = self.weights_rev;
-        }
 
         // Drain every pixel's whole train, then group spikes by
         // millisecond with a counting sort. Pixel-major drain order
@@ -707,7 +660,7 @@ impl SnnNetwork {
                 spike_k,
                 spike_t,
                 ..
-            } = &mut stream;
+            } = &mut *stream;
             for k in 0..streams.len() {
                 let packed = u32::try_from(k).unwrap_or(u32::MAX);
                 streams.drain_spikes(k, |t| {
@@ -736,85 +689,44 @@ impl SnnNetwork {
             stream.cursor[usize::try_from(t).unwrap_or(usize::MAX)] += 1;
         }
 
-        // The committed potentials live in the LIF state; `pot_next` is
-        // the other half of the double buffer the bucket sweep fills.
-        let mut lif = std::mem::take(&mut self.sim.lif);
+        // The LIF state ends with the last committed potentials: the
+        // final state when no neuron fired (what the readout consumes),
+        // or the partially-replayed bucket when one did (never read —
+        // the winner is authoritative).
+        let lif = &mut self.sim.lif;
         lif.reset(n);
-        let mut pot_next = std::mem::take(&mut stream.pot_next);
-        pot_next.clear();
-        pot_next.resize(n, 0.0);
         let lut = self.decay_lut.as_slice();
-        let thresholds = &self.thresholds[..n];
-        let mut shared_last = 0u32;
+        let thresholds = self.thresholds.as_slice();
+        let (streams, weights_t) = (&stream.streams, &self.weights_t);
+        let column = |packed: &u32| {
+            let at = streams.input(usize::try_from(*packed).unwrap_or(usize::MAX)) * n;
+            &weights_t[at..at + n]
+        };
         let mut winner = None;
-
-        'clock: for tb in 0..t_period {
-            let b0 = usize::try_from(stream.starts[tb]).unwrap_or(usize::MAX);
-            let b1 = usize::try_from(stream.starts[tb + 1]).unwrap_or(usize::MAX);
-            if b0 == b1 {
+        for (tb, bounds) in stream.starts.windows(2).enumerate() {
+            let b0 = usize::try_from(bounds[0]).unwrap_or(usize::MAX);
+            let b1 = usize::try_from(bounds[1]).unwrap_or(usize::MAX);
+            let bucket = &stream.slots[b0..b1];
+            if bucket.is_empty() {
                 continue;
             }
             let t = u32::try_from(tb).unwrap_or(u32::MAX);
-            let dt = u64::from(t - shared_last);
-            if dt > 0 {
-                // In-window gaps satisfy `dt ≤ Tperiod − 1 < lut.len()`,
-                // so the decay reduces to a single table factor —
-                // hoisted out of the neuron sweep, leaving one
-                // autovectorizable multiply per neuron (bit-identical:
-                // `decay_with_lut` multiplies by exactly `lut[dt]` in
-                // this range).
-                let factor = lut[usize::try_from(dt).unwrap_or(lut.len() - 1)];
-                for (next, &v) in pot_next.iter_mut().zip(lif.potentials.iter()) {
-                    *next = v * factor;
-                }
-            } else {
-                pot_next.copy_from_slice(&lif.potentials);
+            if lif
+                .stage(t, lut, thresholds, bucket.iter().map(column))
+                .is_some()
+            {
+                lif.commit(t);
+                continue;
             }
-            for &packed in &stream.slots[b0..b1] {
-                let k = usize::try_from(packed).unwrap_or(usize::MAX);
-                let col = stream.streams.input(k) * n;
-                let wcol = &stream.wcols[col..col + n];
-                for (next, &w) in pot_next.iter_mut().zip(wcol) {
-                    *next += w;
-                }
-            }
-            // Branchless fold (rather than a short-circuiting `any`) so
-            // the compare sweep vectorizes with no early-exit branch —
-            // almost every bucket ends without a crossing.
-            let mut crossed = false;
-            for (&v, &th) in pot_next.iter().zip(thresholds) {
-                crossed |= v >= th;
-            }
-            if crossed {
-                // Replay the bucket through the LIF kernel from the
-                // pre-bucket potentials, all last updated at
-                // `shared_last`: the first crossing is the winner.
-                lif.last_update.fill(shared_last);
-                for &packed in &stream.slots[b0..b1] {
-                    let k = usize::try_from(packed).unwrap_or(usize::MAX);
-                    let col = stream.streams.input(k) * n;
-                    let wcol = &stream.wcols[col..col + n];
-                    if let Some(j) = lif.scan(t, 0, lut, thresholds, |j| wcol[j], |_, _| {}) {
-                        winner = Some(j);
-                        break 'clock;
-                    }
-                }
-                // The replay reproduces the exact values the bucket-end
-                // check saw cross, so it cannot fall through.
-                debug_assert!(false, "bucket replay must find the crossing");
-                break 'clock;
-            }
-            std::mem::swap(&mut lif.potentials, &mut pot_next);
-            shared_last = t;
+            winner = bucket.iter().find_map(|packed| {
+                let col = column(packed);
+                lif.scan(t, 0, lut, thresholds, |j| col[j], |_, _| {})
+            });
+            // The replay reproduces the exact values the tick-end
+            // compare saw cross, so it cannot fall through.
+            debug_assert!(winner.is_some(), "bucket replay must find the crossing");
+            break;
         }
-
-        // The LIF state holds the last committed potentials: the final
-        // state when no neuron fired (what the readout consumes), or
-        // the partially-replayed bucket when one did (never read — the
-        // winner is authoritative).
-        self.sim.lif = lif;
-        stream.pot_next = pot_next;
-        self.stream = stream;
         self.presentation_counter += 1;
         winner
     }
@@ -827,7 +739,6 @@ impl SnnNetwork {
     /// [`StdpRule`]: crate::stdp_rules::StdpRule
     fn apply_stdp(&mut self, neuron: usize, fire_t: u32, last_input_spike: &[u32]) {
         let n = self.params.neurons;
-        self.weights_rev += 1;
         let row = &mut self.weights[neuron * self.inputs..(neuron + 1) * self.inputs];
         for (i, w) in row.iter_mut().enumerate() {
             let ts = last_input_spike[i];
@@ -839,7 +750,7 @@ impl SnnNetwork {
             }
             // Keep the column-major mirror coherent without a full
             // rebuild: one row changes per output spike.
-            self.weights_t[i * n + neuron] = *w;
+            self.weights_t[i * n + neuron] = f64::from(*w);
         }
     }
 
@@ -1199,6 +1110,10 @@ mod tests {
             healthy.potentials, faulty.potentials,
             "per-read flips at rate 1.0 must change the dynamics"
         );
+        // The faulted read hook sees the same stored values in the same
+        // order wherever it reads them from: the perturbed presentation
+        // is pinned.
+        assert_eq!(fnv(presentation_words(&faulty)), 0xba9a_f737_b18c_17f3);
     }
 
     #[test]
@@ -1359,6 +1274,86 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    /// The fires and potential bits of a presentation, as digest words.
+    fn presentation_words(p: &Presentation) -> impl Iterator<Item = u64> + '_ {
+        let fires = p.fires.iter().flat_map(|&(t, j)| [u64::from(t), j as u64]);
+        fires.chain(p.potentials.iter().map(|v| v.to_bits()))
+    }
+
+    #[test]
+    fn generated_streaming_cases_match_the_event_loop() {
+        // Drawn rate-coded networks, windows, thresholds, generator
+        // faults and images: the streaming `predict` must read out the
+        // neuron `present` does, and with no fire leave its potentials
+        // bit for bit. Each neuron is labeled with its own index, so
+        // `predict` returns the readout neuron itself. One digest per
+        // case pins the readout, the fires and the potential bits.
+        #[rustfmt::skip]
+        const PINNED: [u64; 32] = [
+            0xa3a0761e5e037af8, 0x029732a6667829c1, 0x90e96d15f284defb, 0x253eae8097d500a5,
+            0x75f7134b01f99432, 0xcae8432913983460, 0x13ec5bfa89d4b9f4, 0xb325d5ce2d1c6ab6,
+            0x5b7b71e931cffefd, 0x86f3ede21552c240, 0x23dace9ed576fbf3, 0x6e2db11fe95887b4,
+            0x2f9e09e74e49c6e0, 0x1c9c34a2c3513c30, 0xf81f0b34cf005b6c, 0xbde19d5a739823f2,
+            0xedd4f077f50b5c11, 0xc9813752f189e992, 0x29bad4880047ee1c, 0xdf12b3c57de4a8a4,
+            0x3af94b1ffe5e44c4, 0xa3fbc743c3838a20, 0xd6c0a5101ae1cb78, 0x3a12e3078102dbe1,
+            0xb4ebd79a4c52f0ce, 0x5639191965dafe59, 0x7ae5fdbc590f7f97, 0xe50f8b9055d42315,
+            0xbefc1a22bcd35c64, 0xf244dbf13f54c326, 0x63e427a33a2db57e, 0x77a798f3fb5876de,
+        ];
+        nc_substrate::check::check_cases(0x5354_5245_414D_0001, 32, |case, rng| {
+            let idx = usize::try_from(case).unwrap();
+            let neurons = 4 + rng.next_index(29);
+            let mut params = SnnParams::for_neurons(neurons);
+            params.t_inhibit = 1 + u32::try_from(rng.next_below(6)).unwrap();
+            params.t_refrac = 1 + u32::try_from(rng.next_below(25)).unwrap();
+            let inputs = 16 + rng.next_index(65);
+            // Log-uniform over five decades: below one weight the first
+            // populated bucket fires; at the top nothing ever does.
+            params.initial_threshold = 40.0 * 1e5f64.powf(rng.next_unit());
+            let coding = [CodingScheme::PoissonRate, CodingScheme::GaussianRate][rng.next_index(2)];
+            let mut net = SnnNetwork::with_coding(inputs, 10, params, coding, rng.next_u64());
+            net.labels = (0..neurons).map(Some).collect();
+            if rng.next_below(2) == 0 {
+                let plan = FaultPlan::new(
+                    FaultModel::StuckLfsrTap,
+                    rng.next_range(0.05, 0.9),
+                    rng.next_u64(),
+                )
+                .unwrap();
+                net.apply_fault(&plan).unwrap();
+            }
+            let mut reference = net.clone();
+            let mut img = SplitMix64::new(rng.next_u64());
+            let pixels: Vec<u8> = (0..inputs)
+                .map(|_| u8::try_from(img.next_below(256)).unwrap())
+                .collect();
+            let pseed = rng.next_u64();
+            let predicted = net.predict(&pixels, pseed);
+            let p = reference.present(&pixels, pseed);
+            assert_eq!(predicted, p.readout(), "case {case}: readout");
+            if p.winner.is_none() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&net.sim.lif.potentials),
+                    bits(&p.potentials),
+                    "case {case}"
+                );
+            }
+            let words = [predicted as u64].into_iter().chain(presentation_words(&p));
+            assert_eq!(fnv(words), PINNED[idx], "case {case}: digest");
+        });
+    }
+
     #[test]
     fn streaming_no_fire_potentials_are_bit_identical() {
         // A sky-high threshold forces the no-winner branch on every
@@ -1410,23 +1405,43 @@ mod tests {
 
     #[test]
     fn transposed_weights_track_stdp_and_faults() {
+        // The f64 mirror is the only column copy: every mutation site
+        // (STDP under a non-default rule, stuck bits, dead neurons,
+        // precision truncation) must leave it exact.
+        fn assert_mirror(snn: &SnnNetwork, step: &str) {
+            for j in 0..4 {
+                for i in 0..8 {
+                    assert_eq!(
+                        snn.weights_t[i * 4 + j],
+                        f64::from(snn.weight(j, i)),
+                        "{step}: mirror out of sync at neuron {j}, input {i}"
+                    );
+                }
+            }
+        }
         let mut params = tiny_params(4);
         params.initial_threshold = 300.0;
         let mut snn = SnnNetwork::new(8, 2, params, 5);
+        snn.set_stdp_rule(crate::stdp_rules::StdpRule::Exponential {
+            delta: 6.0,
+            tau: 20.0,
+        });
         for i in 0..10 {
             snn.present_learn(&[255, 255, 255, 255, 0, 0, 0, 0], i);
         }
+        assert_mirror(&snn, "stdp");
         snn.apply_fault(&FaultPlan::new(FaultModel::StuckAt1, 0.2, 7).unwrap())
             .unwrap();
+        assert_mirror(&snn, "stuck-at-1");
+        snn.apply_fault(&FaultPlan::new(FaultModel::DeadNeuron, 0.5, 3).unwrap())
+            .unwrap();
+        let dead = (0..4).filter(|&j| (0..8).all(|i| snn.weight(j, i) == 0));
+        assert!(
+            (1..4).contains(&dead.count()),
+            "the dead-neuron plan must zero some rows and spare others"
+        );
+        assert_mirror(&snn, "dead neuron");
         snn.quantize_weights(6);
-        for j in 0..4 {
-            for i in 0..8 {
-                assert_eq!(
-                    snn.weights_t[i * 4 + j],
-                    snn.weight(j, i),
-                    "mirror out of sync at neuron {j}, input {i}"
-                );
-            }
-        }
+        assert_mirror(&snn, "quantize");
     }
 }
